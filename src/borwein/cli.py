@@ -2,10 +2,13 @@
 
 One subcommand per claim family, each emitting machine-readable
 ReportDocuments (NDJSON: one JSON object per parameter point, ascending)
-plus optional CSV coefficient dumps. Sweeps shard by n across a process
-pool under --jobs and merge in ascending order, so output is
-order-deterministic; with SOURCE_DATE_EPOCH set, reruns are
-byte-identical.
+plus optional CSV coefficient dumps. Sweeps run their points as
+contiguous blocks: inside a block, verify, identity and conjecture23
+grow each point's product from the previous point's instead of
+expanding it again. Serially the whole range is one block; --jobs
+splits it into one block per worker and merges the reports in
+ascending order, so output is order-deterministic; with
+SOURCE_DATE_EPOCH set, reruns are byte-identical.
 
 Exit codes: 0 all checks pass; 1 a claim check failed; 2 usage or
 parameter error (including unwritable destinations and manifest
@@ -25,7 +28,13 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence
 
 from . import modcount, partitions, series
-from .qpoly import IntPolynomial, ProductSpec, eval_at, expand_product
+from .qpoly import (
+    IntPolynomial,
+    ProductSpec,
+    eval_at,
+    expand_product,
+    mul_sparse_factor,
+)
 from .report import (
     TOOL_VERSION,
     CrossCheck,
@@ -44,13 +53,59 @@ _COHERENCE_PRIMES = (2, 3, 5, 7, 11)
 
 
 # ---------------------------------------------------------------------------
-# per-point workers (top-level so process pools can pickle them)
+# block workers (top-level so process pools can pickle them)
+#
+# A worker takes an ascending list of points and returns one report per
+# point. The Borwein-family workers chain inside the block: its first
+# point expands from scratch, and each later index multiplies the
+# previous index's products by its own factors.
 
 
-def verify_one(n: int) -> ReportDocument:
+def _chain(
+    command: str,
+    label: str,
+    points: Sequence[int],
+    start: Callable[[int], list[IntPolynomial]],
+    steps: Callable[[int], list[tuple[int, ...]]],
+    check: Callable[..., ReportDocument],
+) -> list[ReportDocument]:
+    """Reports for `points`, each product grown from the previous index.
+
+    start(n) expands the products of the block's first point; steps(n)
+    lists, per product, the exponents m of the factors (1 - q^m) that
+    take index n-1 to n. Indices between points are walked through but
+    not reported. check(doc, n, *products) finishes one point's report.
+    """
+    wanted = set(points)
+    docs: list[ReportDocument] = []
+    products: list[IntPolynomial] = []
+    for n in range(points[0], points[-1] + 1):
+        doc = new_report(command, {label: n}) if n in wanted else None
+        if not products:
+            products = start(n)
+        else:
+            for i, exponents in enumerate(steps(n)):
+                for m in exponents:
+                    # Rebind after every pass: a helper doing several
+                    # passes while its caller still holds the input would
+                    # keep a third coefficient generation alive.
+                    products[i] = mul_sparse_factor(products[i], m)
+        if doc is not None:
+            docs.append(check(doc, n, *products))
+    return docs
+
+
+def _borwein_start(n: int) -> list[IntPolynomial]:
+    return [series.expand_borwein(n).poly]
+
+
+def _borwein_steps(n: int) -> list[tuple[int, ...]]:
+    return [(3 * n + 1, 3 * n + 2)]
+
+
+def _verify_checks(doc: ReportDocument, n: int, poly: IntPolynomial) -> ReportDocument:
     """Sign pattern plus the structural facts for a single n."""
-    doc = new_report("verify", {"n": n})
-    s = series.expand_borwein(n)
+    s = series.BorweinSeries(n=n, poly=poly)
     report = series.check_sign_pattern(s)
     doc.violations.extend(report.violations)
     expected_degree = 3 * (n + 1) * (n + 1)
@@ -68,19 +123,30 @@ def verify_one(n: int) -> ReportDocument:
     return doc.finish()
 
 
-def partial_sums_one(n: int) -> ReportDocument:
-    return series.verify_partial_sums(n)
+def verify_block(points: Sequence[int]) -> list[ReportDocument]:
+    return _chain("verify", "n", points, _borwein_start, _borwein_steps, _verify_checks)
+
+
+def verify_one(n: int) -> ReportDocument:
+    return verify_block([n])[0]
+
+
+def partial_sums_block(points: Sequence[int]) -> list[ReportDocument]:
+    return [series.verify_partial_sums(n) for n in points]
 
 
 def modcount_one(n: int) -> ReportDocument:
     return modcount.cross_validate(n)
 
 
-def identity_one(m: int) -> ReportDocument:
+def modcount_block(points: Sequence[int]) -> list[ReportDocument]:
+    return [modcount_one(n) for n in points]
+
+
+def _identity_checks(doc: ReportDocument, m: int, poly: IntPolynomial) -> ReportDocument:
     """Alternating q-binomial sum vs the A-component of the product."""
-    doc = new_report("identity", {"m": m})
     via_binomials = series.a_via_qbinomial(m)
-    via_product = series.decompose_abc(series.expand_borwein(m - 1)).a
+    via_product = series.decompose_abc(series.BorweinSeries(n=m - 1, poly=poly)).a
     if via_binomials == via_product:
         doc.cross_checks.append(CrossCheck("a_polynomial", "match", "match"))
     else:
@@ -100,20 +166,65 @@ def identity_one(m: int) -> ReportDocument:
     return doc.finish()
 
 
-def conjecture23_one(n: int) -> ReportDocument:
+def identity_block(points: Sequence[int]) -> list[ReportDocument]:
+    return _chain(
+        "identity",
+        "m",
+        points,
+        lambda m: _borwein_start(m - 1),
+        lambda m: _borwein_steps(m - 1),
+        _identity_checks,
+    )
+
+
+def identity_one(m: int) -> ReportDocument:
+    return identity_block([m])[0]
+
+
+def _conjecture23_start(n: int) -> list[IntPolynomial]:
+    return [
+        expand_product(
+            ProductSpec(
+                modulus=3, residues=frozenset({1, 2}), upper_index=n, multiplicity=2
+            )
+        ),
+        expand_product(
+            ProductSpec(modulus=5, residues=frozenset({1, 2, 3, 4}), upper_index=n)
+        ),
+    ]
+
+
+def _conjecture23_steps(n: int) -> list[tuple[int, ...]]:
+    return [
+        (3 * n + 1, 3 * n + 1, 3 * n + 2, 3 * n + 2),
+        (5 * n + 1, 5 * n + 2, 5 * n + 3, 5 * n + 4),
+    ]
+
+
+def _conjecture23_checks(
+    doc: ReportDocument, n: int, squared: IntPolynomial, mod5: IntPolynomial
+) -> ReportDocument:
     """Sign sweeps for the squared (mod 3) and mod-5 product variants."""
-    doc = new_report("conjecture23", {"n": n})
-    squared = expand_product(
-        ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=n, multiplicity=2)
-    )
     doc.violations.extend(sign_violations(squared, 3, n, kind="sign-squared"))
-    mod5 = expand_product(
-        ProductSpec(modulus=5, residues=frozenset({1, 2, 3, 4}), upper_index=n)
-    )
     doc.violations.extend(sign_violations(mod5, 5, n, kind="sign-mod5"))
     doc.data["squared_degree"] = squared.degree
     doc.data["mod5_degree"] = mod5.degree
     return doc.finish()
+
+
+def conjecture23_block(points: Sequence[int]) -> list[ReportDocument]:
+    return _chain(
+        "conjecture23",
+        "n",
+        points,
+        _conjecture23_start,
+        _conjecture23_steps,
+        _conjecture23_checks,
+    )
+
+
+def conjecture23_one(n: int) -> ReportDocument:
+    return conjecture23_block([n])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +295,25 @@ class Manifest:
 
 
 def _run_sweep(
-    worker: Callable[[int], ReportDocument],
+    block_worker: Callable[[Sequence[int]], list[ReportDocument]],
     points: Sequence[int],
     jobs: int,
 ) -> list[ReportDocument]:
-    """Run one worker per point, merging results in ascending order."""
-    if jobs > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, points))
-    return [worker(p) for p in points]
+    """Run the points as contiguous blocks, merging reports in ascending order.
+
+    Serially the points form one block. Under jobs > 1 they split into
+    one block per worker, with min(jobs, len(points), os.cpu_count())
+    workers: every extra block starts its chain from scratch.
+    """
+    workers = min(jobs, len(points), os.cpu_count() or 1)
+    if workers <= 1:
+        return block_worker(points) if points else []
+    blocks = [
+        points[i * len(points) // workers : (i + 1) * len(points) // workers]
+        for i in range(workers)
+    ]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [doc for docs in pool.map(block_worker, blocks) for doc in docs]
 
 
 def _emit(docs: list[ReportDocument], json_dest: str | None) -> None:
@@ -338,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _drive_sweep(
     parser: argparse.ArgumentParser,
     args: argparse.Namespace,
-    worker: Callable[[int], ReportDocument],
+    block_worker: Callable[[Sequence[int]], list[ReportDocument]],
     minimum: int,
     label: str,
 ) -> int:
@@ -356,7 +477,7 @@ def _drive_sweep(
         points = todo
     elif args.fresh:
         parser.error("--fresh requires --manifest")
-    docs = _run_sweep(worker, points, max(1, args.jobs))
+    docs = _run_sweep(block_worker, points, max(1, args.jobs))
     for point, doc in zip(points, docs):
         _log(f"{args.subcommand} {label}={point} {doc.status}")
     if manifest is not None:
@@ -402,15 +523,15 @@ def run(argv: Sequence[str] | None = None) -> int:
                 _emit_csv(s.poly, args.csv)
             return _exit_code([doc])
         if args.subcommand == "verify":
-            return _drive_sweep(parser, args, verify_one, 0, "n")
+            return _drive_sweep(parser, args, verify_block, 0, "n")
         if args.subcommand == "partial-sums":
-            return _drive_sweep(parser, args, partial_sums_one, 0, "n")
+            return _drive_sweep(parser, args, partial_sums_block, 0, "n")
         if args.subcommand == "modcount":
-            return _drive_sweep(parser, args, modcount_one, 0, "n")
+            return _drive_sweep(parser, args, modcount_block, 0, "n")
         if args.subcommand == "identity":
-            return _drive_sweep(parser, args, identity_one, 1, "m")
+            return _drive_sweep(parser, args, identity_block, 1, "m")
         if args.subcommand == "conjecture23":
-            return _drive_sweep(parser, args, conjecture23_one, 0, "n")
+            return _drive_sweep(parser, args, conjecture23_block, 0, "n")
         if args.subcommand == "stanley":
             return _drive_primes(
                 args,

@@ -102,10 +102,19 @@ def sign_violations(
     """Indices where the mod-`modulus` sign pattern fails.
 
     Expected: coefficient ≥ 0 at exponents divisible by the modulus,
-    ≤ 0 elsewhere.
+    ≤ 0 elsewhere. Each residue class is first checked by the extreme of
+    one slice; the coefficients are walked one by one only when some
+    class fails, so violations come out in ascending exponent order.
     """
+    cs = poly.coeffs
+    for r in range(modulus):
+        cls = cs[r::modulus]
+        if cls and (min(cls) < 0 if r == 0 else max(cls) > 0):
+            break
+    else:
+        return []
     out: list[Violation] = []
-    for j, c in enumerate(poly.coeffs):
+    for j, c in enumerate(cs):
         if j % modulus == 0:
             if c < 0:
                 out.append(

@@ -8,8 +8,8 @@ import json
 import pytest
 
 import borwein.cli as cli
-from borwein import OracleMismatchError
-from borwein.report import new_report
+from borwein import OracleMismatchError, ProductSpec, expand_product
+from borwein.report import new_report, report_to_json
 
 
 def run_cli(*argv: str) -> int:
@@ -204,6 +204,121 @@ def test_jobs_parallel_output_matches_serial(tmp_path, monkeypatch):
         == 0
     )
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def per_point_ndjson(one, points) -> bytes:
+    return "".join(report_to_json(one(p)) + "\n" for p in points).encode()
+
+
+def test_chained_products_match_fresh_expansion(series_upto_100):
+    def borwein_fresh(doc, n, poly):
+        return poly == series_upto_100[n].poly
+
+    def conjecture23_fresh(doc, n, squared, mod5):
+        return squared == expand_product(
+            ProductSpec(modulus=3, residues={1, 2}, upper_index=n, multiplicity=2)
+        ) and mod5 == expand_product(
+            ProductSpec(modulus=5, residues={1, 2, 3, 4}, upper_index=n)
+        )
+
+    points = range(61)
+    assert cli._chain(
+        "verify", "n", points, cli._borwein_start, cli._borwein_steps, borwein_fresh
+    ) == [True] * 61
+    assert cli._chain(
+        "conjecture23",
+        "n",
+        points,
+        cli._conjecture23_start,
+        cli._conjecture23_steps,
+        conjecture23_fresh,
+    ) == [True] * 61
+
+
+@pytest.mark.parametrize(
+    "command, one",
+    [
+        ("verify", cli.verify_one),
+        ("conjecture23", cli.conjecture23_one),
+        ("identity", cli.identity_one),
+    ],
+)
+def test_chained_sweep_matches_per_point_reports(tmp_path, monkeypatch, command, one):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755590400")
+    out = tmp_path / "chained.ndjson"
+    assert run_cli(command, "--n-min", "5", "--n-max", "25", "--json", str(out)) == 0
+    assert out.read_bytes() == per_point_ndjson(one, range(5, 26))
+
+
+@pytest.mark.parametrize("first_range", [(0, 3), (4, 6)])
+def test_manifest_resume_chains_through_completed_points(
+    tmp_path, monkeypatch, first_range
+):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755590400")
+    manifest = tmp_path / "m.json"
+    lo, hi = first_range
+    assert (
+        run_cli(
+            "verify", "--n-min", str(lo), "--n-max", str(hi),
+            "--manifest", str(manifest),
+        )
+        == 0
+    )
+    out = tmp_path / "resumed.ndjson"
+    assert (
+        run_cli(
+            "verify", "--n-min", "0", "--n-max", "9",
+            "--manifest", str(manifest), "--json", str(out),
+        )
+        == 0
+    )
+    remaining = [n for n in range(10) if not lo <= n <= hi]
+    assert out.read_bytes() == per_point_ndjson(cli.verify_one, remaining)
+
+
+@pytest.mark.parametrize(
+    "command, lo", [("verify", 0), ("conjecture23", 0), ("identity", 1)]
+)
+def test_jobs_blocks_match_serial(tmp_path, monkeypatch, command, lo):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755590400")
+    serial = tmp_path / "serial.ndjson"
+    parallel = tmp_path / "parallel.ndjson"
+    span = ("--n-min", str(lo), "--n-max", "20")
+    assert run_cli(command, *span, "--json", str(serial)) == 0
+    assert run_cli(command, *span, "--jobs", "3", "--json", str(parallel)) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("cpus, expected", [(4, [4]), (None, [])])
+def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch, cpus, expected):
+    requested: list[int] = []
+
+    class InlinePool:
+        """Records max_workers and runs map inline, starting no process."""
+
+        def __init__(self, max_workers: int) -> None:
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc) -> None:
+            return None
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755590400")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    serial = tmp_path / "serial.ndjson"
+    wide = tmp_path / "wide.ndjson"
+    span = ("--n-min", "0", "--n-max", "20")
+    assert run_cli("verify", *span, "--json", str(serial)) == 0
+    assert run_cli("verify", *span, "--jobs", "64", "--json", str(wide)) == 0
+    # an unknown cpu count means one worker, which needs no pool
+    assert requested == expected
+    assert serial.read_bytes() == wide.read_bytes()
 
 
 def test_reruns_byte_identical_under_epoch(tmp_path, monkeypatch):

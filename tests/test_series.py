@@ -110,6 +110,21 @@ def test_sign_violations_detect_bad_coefficients():
     assert all(v.location["n"] == 0 for v in found)
 
 
+@pytest.mark.parametrize(
+    "coeffs, expected",
+    [
+        # classes 0 and 1 fail; the report interleaves them by exponent
+        ([-1, 2, 0, 0, 5, -3, 0], [(0, -1, ">=0"), (1, 2, "<=0"), (4, 5, "<=0")]),
+        ([0, -1, -1, -2], [(3, -2, ">=0")]),
+        ([0, 0, 0, 0, 0, 7], [(5, 7, "<=0")]),
+    ],
+)
+def test_sign_violations_pinned_in_ascending_order(coeffs, expected):
+    found = sign_violations(IntPolynomial(coeffs), 3, n=2)
+    assert [(v.location["exponent"], v.value, v.expected) for v in found] == expected
+    assert all(v.location["n"] == 2 for v in found)
+
+
 def test_sign_violations_custom_kind():
     found = sign_violations(IntPolynomial([0, 1]), 3, n=4, kind="sign-squared")
     assert [v.kind for v in found] == ["sign-squared"]
