@@ -54,6 +54,7 @@ from .partitions import (
 from .qpoly import (
     InexactDivisionError,
     IntPolynomial,
+    MirrorMismatchError,
     ProductSpec,
     eval_at,
     exact_div,
@@ -97,6 +98,7 @@ __all__ = [
     # qpoly
     "InexactDivisionError",
     "IntPolynomial",
+    "MirrorMismatchError",
     "ProductSpec",
     "eval_at",
     "exact_div",

@@ -12,8 +12,8 @@ SOURCE_DATE_EPOCH set, reruns are byte-identical.
 
 Exit codes: 0 all checks pass; 1 a claim check failed; 2 usage or
 parameter error (including unwritable destinations and manifest
-mismatches); 3 internal cross-validation failure (oracle mismatch or
-inexact division).
+mismatches); 3 internal cross-validation failure (oracle mismatch,
+inexact division, or a mirrored expansion whose overlap disagrees).
 """
 
 from __future__ import annotations
@@ -104,7 +104,14 @@ def _borwein_steps(n: int) -> list[tuple[int, ...]]:
 
 
 def _verify_checks(doc: ReportDocument, n: int, poly: IntPolynomial) -> ReportDocument:
-    """Sign pattern plus the structural facts for a single n."""
+    """Sign pattern plus the structural facts for a single n.
+
+    On a block's first point the product comes from expand_product, which
+    mirrors its upper half, so `palindromic` holds by construction there:
+    what backs it is expand_product's check that the terms it computes
+    past the midpoint equal their mirrors. On later points of a block the
+    product is grown by full sparse passes, and the check is direct.
+    """
     s = series.BorweinSeries(n=n, poly=poly)
     report = series.check_sign_pattern(s)
     doc.violations.extend(report.violations)

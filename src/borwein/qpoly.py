@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from operator import add, neg, sub
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "InexactDivisionError",
+    "MirrorMismatchError",
     "IntPolynomial",
     "ProductSpec",
     "mul_sparse_factor",
@@ -33,10 +35,8 @@ class InexactDivisionError(ArithmeticError):
     """Division that was promised to be exact left a remainder."""
 
 
-def _trimmed(coeffs: list[int]) -> list[int]:
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return coeffs
+class MirrorMismatchError(ArithmeticError):
+    """A directly computed term of a product differs from its mirror image."""
 
 
 class IntPolynomial:
@@ -49,7 +49,11 @@ class IntPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        self._coeffs = tuple(_trimmed(list(coeffs)))
+        cs = tuple(coeffs)
+        end = len(cs)
+        while end and not cs[end - 1]:
+            end -= 1
+        self._coeffs = cs if end == len(cs) else cs[:end]
 
     @classmethod
     def zero(cls) -> "IntPolynomial":
@@ -169,27 +173,26 @@ class IntPolynomial:
 # ---------------------------------------------------------------------------
 # raw-list kernels (internal): no trimming, bound = max number of coefficients
 
-def _sparse_step(p: list[int], m: int, bound: int | None) -> list[int]:
-    """p · (1 - q^m) on raw coefficient lists: c_e = p_e - p_{e-m}."""
+def _sparse_step(p: Sequence[int], m: int, bound: int | None) -> list[int]:
+    """p · (1 - q^m) on raw coefficients: c_e = p_e - p_{e-m}.
+
+    p may be a list or a tuple; each branch builds its output as one list
+    display, so no intermediate list is concatenated and thrown away.
+    """
     n = len(p)
     if not n:
         return []
-    full = n + m
-    if bound is None or bound >= full:
+    if bound is None or bound >= n + m:
         if m >= n:
-            return p + [0] * (m - n) + list(map(neg, p))
-        return p[:m] + list(map(sub, p[m:], p[: n - m])) + list(map(neg, p[n - m :]))
+            return [*p, *repeat(0, m - n), *map(neg, p)]
+        return [*p[:m], *map(sub, p[m:], p[: n - m]), *map(neg, p[n - m :])]
     if bound <= m:
-        return p[:bound]
+        return [*p[:bound]]
     if m >= n:
-        return p + [0] * (m - n) + list(map(neg, p[: bound - m]))
+        return [*p, *repeat(0, m - n), *map(neg, p[: bound - m])]
     if bound <= n:
-        return p[:m] + list(map(sub, p[m:bound], p[: bound - m]))
-    return (
-        p[:m]
-        + list(map(sub, p[m:], p[: n - m]))
-        + list(map(neg, p[n - m : bound - m]))
-    )
+        return [*p[:m], *map(sub, p[m:bound], p[: bound - m])]
+    return [*p[:m], *map(sub, p[m:], p[: n - m]), *map(neg, p[n - m : bound - m])]
 
 
 def _mul_lists(p: list[int], q: list[int], bound: int | None) -> list[int]:
@@ -241,7 +244,7 @@ def mul_sparse_factor(
     if m < 1:
         raise ValueError(f"sparse factor exponent must be >= 1, got {m}")
     bound = None if trunc is None else trunc + 1
-    return IntPolynomial(_sparse_step(list(P.coeffs), m, bound))
+    return IntPolynomial(_sparse_step(P.coeffs, m, bound))
 
 
 def mul_trunc(
@@ -393,13 +396,43 @@ def expand_product(spec: ProductSpec) -> IntPolynomial:
     """Expand the product described by spec exactly.
 
     One sparse-factor pass per factor, ascending exponent order; factors
-    whose exponent exceeds the truncation cannot change kept terms and
-    are skipped.
+    whose exponent reaches the bound cannot change kept terms and are
+    skipped. A product of k factors (1 - q^m) of total degree D satisfies
+    a_{D-j} = (-1)^k a_j. So when the kept terms reach past D/2 + w, with
+    w the largest factor exponent, the passes keep only the terms up to
+    D/2 + w and the rest is mirrored from the lower half. The w terms
+    computed past the midpoint (and the middle term, for even D) must
+    equal their mirrors, or MirrorMismatchError is raised: that overlap
+    is the check on the half that was not computed.
     """
-    bound = None if spec.truncation is None else spec.truncation + 1
+    D = spec.full_degree
+    top = D // 2 + spec.modulus * spec.upper_index + max(spec.residues)
+    mirror = top < D and (spec.truncation is None or spec.truncation >= top)
+    if mirror:
+        bound = top + 1
+    else:
+        bound = None if spec.truncation is None else spec.truncation + 1
     coeffs = [1]
     for m in spec.exponents():
         if bound is not None and m >= bound:
             break
         coeffs = _sparse_step(coeffs, m, bound)
+    if not mirror:
+        return IntPolynomial(coeffs)
+    odd = spec.multiplicity * len(spec.residues) * (spec.upper_index + 1) % 2
+    mid = D - D // 2
+    mirrored = coeffs[D - top : D // 2 + 1][::-1]
+    if odd:
+        mirrored = list(map(neg, mirrored))
+    if coeffs[mid:] != mirrored:
+        j = next(j for j, r in enumerate(mirrored, mid) if coeffs[j] != r)
+        raise MirrorMismatchError(
+            f"{spec}: computed a_{j} = {coeffs[j]}, but its mirror "
+            f"a_{D - j} gives {mirrored[j - mid]}"
+        )
+    del coeffs[D // 2 + 1 :]
+    tail = coeffs[mid - 1 :: -1]
+    coeffs += map(neg, tail) if odd else tail
+    if spec.truncation is not None:
+        del coeffs[spec.truncation + 1 :]
     return IntPolynomial(coeffs)

@@ -16,7 +16,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, IO
+from typing import Any
 
 __all__ = [
     "TOOL_VERSION",
@@ -160,8 +160,3 @@ def report_to_json(doc: ReportDocument) -> str:
     if doc.internal_error is not None:
         payload["internal_error"] = doc.internal_error
     return json.dumps(payload, separators=(", ", ": "), sort_keys=False)
-
-
-def write_report(doc: ReportDocument, stream: IO[str]) -> None:
-    stream.write(report_to_json(doc))
-    stream.write("\n")

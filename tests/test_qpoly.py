@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import borwein.cli as cli
+import borwein.qpoly as qpoly
 from borwein import (
     InexactDivisionError,
     IntPolynomial,
+    MirrorMismatchError,
     ProductSpec,
     binomial,
     eval_at,
@@ -237,3 +242,85 @@ def test_big_coefficients_stay_exact():
     p = pow_trunc(IntPolynomial([1, 1]), 200)
     assert p[100] == math.comb(200, 100)
     assert eval_at(p, 1) == 2**200
+
+
+def unmirrored(spec: ProductSpec) -> IntPolynomial:
+    """Oracle: one full sparse pass per factor, never mirrored."""
+    full = functools.reduce(mul_sparse_factor, spec.exponents(), IntPolynomial.one())
+    return full if spec.truncation is None else full.truncate(spec.truncation)
+
+
+@st.composite
+def product_specs(draw) -> ProductSpec:
+    modulus = draw(st.integers(2, 7))
+    spec = ProductSpec(
+        modulus=modulus,
+        residues=draw(st.frozensets(st.integers(1, modulus - 1), min_size=1)),
+        upper_index=draw(st.integers(0, 8)),
+        multiplicity=draw(st.integers(1, 3)),
+    )
+    half = spec.full_degree // 2
+    w = modulus * spec.upper_index + max(spec.residues)
+    near_half = [half - 1, half, half + 1, half + w - 1, half + w, spec.full_degree]
+    truncation = draw(
+        st.none()
+        | st.sampled_from([t for t in near_half if t >= 0])
+        | st.integers(0, spec.full_degree + 3)
+    )
+    return dataclasses.replace(spec, truncation=truncation)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(product_specs())
+def test_expand_product_matches_unmirrored_oracle(spec):
+    assert expand_product(spec) == unmirrored(spec)
+
+
+def test_odd_factor_count_is_antipalindromic():
+    # 7 factors (1-q^{3j+1}), degree 70 (even): a_{70-j} = -a_j, a_35 = 0
+    spec = ProductSpec(modulus=3, residues=frozenset({1}), upper_index=6)
+    p = expand_product(spec)
+    assert p == unmirrored(spec)
+    assert p.degree == 70
+    assert p.coeffs == tuple(-c for c in p.coeffs[::-1])
+    assert p[35] == 0
+
+
+def test_expand_borwein_matches_unmirrored_oracle(series_upto_100):
+    oracle = IntPolynomial.one()
+    for n, s in enumerate(series_upto_100):
+        oracle = mul_sparse_factor(oracle, 3 * n + 1)
+        oracle = mul_sparse_factor(oracle, 3 * n + 2)
+        assert s.poly == oracle, n
+
+
+def off_by_one_once(monkeypatch) -> None:
+    """Make the first kernel output that fills its bound wrong by one at its top.
+
+    Later passes keep that error at the top exponent, D/2 + w, so exactly
+    one term computed past the midpoint is off by one.
+    """
+    kernel = qpoly._sparse_step
+    armed = True
+
+    def broken(p, m, bound):
+        nonlocal armed
+        out = kernel(p, m, bound)
+        if armed and bound is not None and len(out) == bound:
+            armed = False
+            out[-1] += 1
+        return out
+
+    monkeypatch.setattr(qpoly, "_sparse_step", broken)
+
+
+def test_overlap_check_catches_one_wrong_term(monkeypatch):
+    assert issubclass(MirrorMismatchError, ArithmeticError)
+    off_by_one_once(monkeypatch)
+    # n = 20: D = 1323, so the top computed term is 661 + 62 = 723,
+    # whose mirror is 1323 - 723 = 600
+    borwein20 = ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=20)
+    with pytest.raises(MirrorMismatchError, match=r"a_723 = \d+, but its mirror a_600 "):
+        expand_product(borwein20)
+    off_by_one_once(monkeypatch)
+    assert cli.run(["verify", "--n", "20"]) == 3
