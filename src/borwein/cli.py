@@ -2,8 +2,11 @@
 
 One subcommand per claim family, each emitting machine-readable
 ReportDocuments (NDJSON: one JSON object per parameter point, ascending)
-plus optional CSV coefficient dumps. Sweeps run their points as
-contiguous blocks: inside a block, verify, identity and conjecture23
+plus optional CSV coefficient dumps. `expand` dumps one product; every
+other subcommand is a sweep and one row of a table, _SWEEPS (ranges of
+n) or _PRIME_SWEEPS (primes p). The parser is built from the tables,
+and one driver, _sweep, runs any row: points, manifest, blocks, log,
+emit and exit code. Inside a block, verify, identity and conjecture23
 grow each point's product from the previous point's instead of
 expanding it again. Serially the whole range is one block; --jobs
 splits it into one block per worker and merges the reports in
@@ -19,6 +22,7 @@ inexact division, or a mirrored expansion whose overlap disagrees).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -298,91 +302,81 @@ class Manifest:
 
 
 # ---------------------------------------------------------------------------
-# sweep driver
+# subcommand tables
+#
+# _SWEEPS: range command -> (help, lowest index, point label, block worker).
+# _PRIME_SWEEPS: prime command -> (help, bound flag, its default, name of
+# the `partitions` worker called as worker(p, bound), default primes).
+# Prime workers are stored by name and looked up on every call, so a
+# function rebound in `partitions` after this module is imported (by a
+# tracer or a test) is the one that runs.
+
+_SWEEPS: dict[str, tuple[str, int, str, Callable[[Sequence[int]], list[ReportDocument]]]] = {
+    "verify": ("sign-pattern sweep over a range of n", 0, "n", verify_block),
+    "partial-sums": (
+        "strict positivity of residue-class partial sums", 0, "n", partial_sums_block
+    ),
+    "modcount": (
+        "cross-validate the signed subset-sum evaluators", 0, "n", modcount_block
+    ),
+    "identity": (
+        "alternating q-binomial form of the A-polynomial", 1, "m", identity_block
+    ),
+    "conjecture23": (
+        "sign sweeps for the squared and mod-5 products", 0, "n", conjecture23_block
+    ),
+}
+
+_PRIME_SWEEPS: dict[str, tuple[str, str, int, str, tuple[int, ...]]] = {
+    "stanley": (
+        "two-term partition formula for a_{p,pk}",
+        "--k-max", 100, "verify_stanley", (3, 5, 7, 11, 13),
+    ),
+    "coherence": (
+        "sign coherence of pairs at distance p",
+        "--j-max", 2000, "sign_coherence_check", (2, 3, 5, 7, 11),
+    ),
+}
+
+_EXIT_CODES = {"pass": 0, "fail": 1, "error": 3}
 
 
-def _run_sweep(
-    block_worker: Callable[[Sequence[int]], list[ReportDocument]],
-    points: Sequence[int],
-    jobs: int,
-) -> list[ReportDocument]:
-    """Run the points as contiguous blocks, merging reports in ascending order.
-
-    Serially the points form one block. Under jobs > 1 they split into
-    one block per worker, with min(jobs, len(points), os.cpu_count())
-    workers: every extra block starts its chain from scratch.
-    """
-    workers = min(jobs, len(points), os.cpu_count() or 1)
-    if workers <= 1:
-        return block_worker(points) if points else []
-    blocks = [
-        points[i * len(points) // workers : (i + 1) * len(points) // workers]
-        for i in range(workers)
-    ]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [doc for docs in pool.map(block_worker, blocks) for doc in docs]
-
-
-def _emit(docs: list[ReportDocument], json_dest: str | None) -> None:
-    if json_dest is None:
-        return
-    text = "".join(report_to_json(d) + "\n" for d in docs)
-    if json_dest == "-":
-        sys.stdout.write(text)
-    else:
-        with open(json_dest, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-
-def _emit_csv(poly: IntPolynomial, csv_dest: str) -> None:
-    """Coefficient dump: header exponent,coefficient, one row per exponent."""
-
-    def write_rows(fh) -> None:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["exponent", "coefficient"])
-        degree = poly.degree
-        for e in range(degree + 1):
-            writer.writerow([e, poly[e]])
-        if degree < 0:
-            writer.writerow([0, 0])
-
-    if csv_dest == "-":
-        write_rows(sys.stdout)
-    else:
-        with open(csv_dest, "w", encoding="utf-8", newline="") as fh:
-            write_rows(fh)
-
-
-def _log(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
-def _exit_code(docs: list[ReportDocument], prior_statuses: Sequence[str] = ()) -> int:
-    statuses = [d.status for d in docs] + list(prior_statuses)
-    if any(s == "error" for s in statuses):
-        return 3
-    if any(s == "fail" for s in statuses):
-        return 1
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# argument plumbing
-
-
-def _add_range_flags(sub: argparse.ArgumentParser, minimum: int) -> None:
-    sub.add_argument("--n", type=int, help="single index")
-    sub.add_argument("--n-min", type=int, default=minimum, help="sweep start")
-    sub.add_argument("--n-max", type=int, help="sweep end (inclusive)")
-
-
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", metavar="PATH|-", help="write NDJSON reports here")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
-    sub.add_argument("--manifest", metavar="PATH", help="resumable completion ledger")
-    sub.add_argument(
-        "--fresh", action="store_true", help="discard a mismatched or stale manifest"
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="borwein",
+        description="Exact verification sweeps for Borwein-product sign claims.",
     )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {TOOL_VERSION}"
+    )
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+
+    sub = subs.add_parser("expand", help="expand the product for one n and dump it")
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--json", metavar="PATH|-")
+    sub.add_argument("--csv", metavar="PATH|-", help="exponent,coefficient rows")
+
+    for command, (help_text, minimum, _, _) in _SWEEPS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--n", type=int, help="single index")
+        sub.add_argument("--n-min", type=int, default=minimum, help="sweep start")
+        sub.add_argument("--n-max", type=int, help="sweep end (inclusive)")
+        sub.add_argument("--json", metavar="PATH|-", help="write NDJSON reports here")
+        sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
+        sub.add_argument("--manifest", metavar="PATH", help="resumable completion ledger")
+        sub.add_argument(
+            "--fresh", action="store_true", help="discard a mismatched or stale manifest"
+        )
+
+    for command, (help_text, flag, default, _, primes) in _PRIME_SWEEPS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--p", type=int, help=f"one prime (default sweep {primes})")
+        sub.add_argument(flag, type=int, default=default)
+        sub.add_argument("--json", metavar="PATH|-")
+        # no such options: the driver runs these serially, without a manifest
+        sub.set_defaults(jobs=1, manifest=None, fresh=False)
+
+    return parser
 
 
 def _resolve_range(
@@ -401,111 +395,107 @@ def _resolve_range(
     return list(range(args.n_min, args.n_max + 1))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="borwein",
-        description="Exact verification sweeps for Borwein-product sign claims.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {TOOL_VERSION}"
-    )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sub = subs.add_parser("expand", help="expand the product for one n and dump it")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--json", metavar="PATH|-")
-    sub.add_argument("--csv", metavar="PATH|-", help="exponent,coefficient rows")
-
-    sub = subs.add_parser("verify", help="sign-pattern sweep over a range of n")
-    _add_range_flags(sub, 0)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser(
-        "partial-sums", help="strict positivity of residue-class partial sums"
-    )
-    _add_range_flags(sub, 0)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser(
-        "modcount", help="cross-validate the signed subset-sum evaluators"
-    )
-    _add_range_flags(sub, 0)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser(
-        "identity", help="alternating q-binomial form of the A-polynomial"
-    )
-    _add_range_flags(sub, 1)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser(
-        "conjecture23", help="sign sweeps for the squared and mod-5 products"
-    )
-    _add_range_flags(sub, 0)
-    _add_common_flags(sub)
-
-    sub = subs.add_parser("stanley", help="two-term partition formula for a_{p,pk}")
-    sub.add_argument("--p", type=int, help=f"one prime (default sweep {_STANLEY_PRIMES})")
-    sub.add_argument("--k-max", type=int, default=100)
-    sub.add_argument("--json", metavar="PATH|-")
-
-    sub = subs.add_parser("coherence", help="sign coherence of pairs at distance p")
-    sub.add_argument(
-        "--p", type=int, help=f"one prime (default sweep {_COHERENCE_PRIMES})"
-    )
-    sub.add_argument("--j-max", type=int, default=2000)
-    sub.add_argument("--json", metavar="PATH|-")
-
-    return parser
-
-
 # ---------------------------------------------------------------------------
-# subcommand drivers
+# drivers
 
 
-def _drive_sweep(
-    parser: argparse.ArgumentParser,
-    args: argparse.Namespace,
-    block_worker: Callable[[Sequence[int]], list[ReportDocument]],
-    minimum: int,
-    label: str,
-) -> int:
-    points = _resolve_range(parser, args, minimum)
+def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Run a command of either table; returns the exit code.
+
+    The points run as contiguous blocks, merged in ascending order.
+    Serially they form one block. Under --jobs they split into one block
+    per worker, with min(jobs, len(points), os.cpu_count()) workers:
+    every extra block starts its chain from scratch. The exit code is
+    that of the worst status among the new reports and the manifest's
+    reused entries.
+    """
+    command = args.subcommand
+    if command in _SWEEPS:
+        _, minimum, label, block_worker = _SWEEPS[command]
+        points = _resolve_range(parser, args, minimum)
+    else:
+        _, flag, _, worker, primes = _PRIME_SWEEPS[command]
+        bound = getattr(args, flag[2:].replace("-", "_"))
+        label = "p"
+        points = [args.p] if args.p is not None else list(primes)
+
+        # nested, so never sent to a pool: prime commands have no --jobs
+        def block_worker(ps: Sequence[int]) -> list[ReportDocument]:
+            return [getattr(partitions, worker)(p, bound) for p in ps]
+
     manifest: Manifest | None = None
     prior: list[str] = []
     if args.manifest:
-        manifest = Manifest(args.manifest, args.subcommand, {})
+        manifest = Manifest(args.manifest, command, {})
         manifest.load(fresh=args.fresh)
-        todo = manifest.remaining(points)
-        skipped = len(points) - len(todo)
-        if skipped:
-            _log(f"{args.subcommand}: {skipped} completed entries reused from manifest")
         prior = [manifest.completed[n] for n in points if n in manifest.completed]
-        points = todo
+        if prior:
+            _log(f"{command}: {len(prior)} completed entries reused from manifest")
+        points = manifest.remaining(points)
     elif args.fresh:
         parser.error("--fresh requires --manifest")
-    docs = _run_sweep(block_worker, points, max(1, args.jobs))
+    workers = min(args.jobs, len(points), os.cpu_count() or 1)
+    if workers <= 1:
+        docs = block_worker(points) if points else []
+    else:
+        blocks = [
+            points[i * len(points) // workers : (i + 1) * len(points) // workers]
+            for i in range(workers)
+        ]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            docs = [doc for part in pool.map(block_worker, blocks) for doc in part]
     for point, doc in zip(points, docs):
-        _log(f"{args.subcommand} {label}={point} {doc.status}")
+        _log(f"{command} {label}={point} {doc.status}")
     if manifest is not None:
-        for point, doc in zip(points, docs):
-            manifest.completed[point] = doc.status
+        manifest.completed.update(zip(points, [doc.status for doc in docs]))
         manifest.save()
     _emit(docs, args.json)
-    return _exit_code(docs, prior)
+    return max((_EXIT_CODES[s] for s in prior + [d.status for d in docs]), default=0)
 
 
-def _drive_primes(
-    args: argparse.Namespace,
-    worker: Callable[[int], ReportDocument],
-    default_primes: Sequence[int],
-) -> int:
-    primes = [args.p] if args.p is not None else list(default_primes)
-    docs = [worker(p) for p in primes]
-    for p, doc in zip(primes, docs):
-        _log(f"{args.subcommand} p={p} {doc.status}")
-    _emit(docs, args.json)
-    return _exit_code(docs)
+def _expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    if args.n < 0:
+        parser.error("--n must be >= 0")
+    s = series.expand_borwein(args.n)
+    doc = new_report("expand", {"n": args.n})
+    doc.data["degree"] = s.degree
+    doc.data["constant_term"] = s.poly[0]
+    doc.data["leading_term"] = s.poly[s.degree]
+    if args.json is not None:
+        doc.data["coefficients"] = list(s.poly.coeffs)
+    doc.finish()
+    _log(f"expand n={args.n} degree={s.degree} {doc.status}")
+    _emit([doc], args.json)
+    if args.csv is not None:
+        _emit_csv(s.poly, args.csv)
+    return _EXIT_CODES[doc.status]
+
+
+def _open_dest(dest: str, newline: str):
+    """The file at dest opened for writing, or stdout (left open) for "-"."""
+    if dest == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(dest, "w", encoding="utf-8", newline=newline)
+
+
+def _emit(docs: list[ReportDocument], json_dest: str | None) -> None:
+    if json_dest is None:
+        return
+    text = "".join(report_to_json(d) + "\n" for d in docs)
+    with _open_dest(json_dest, "\n") as fh:
+        fh.write(text)
+
+
+def _emit_csv(poly: IntPolynomial, csv_dest: str) -> None:
+    """Coefficient dump: header exponent,coefficient, one row per exponent."""
+    with _open_dest(csv_dest, "") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["exponent", "coefficient"])
+        writer.writerows(enumerate(poly.coeffs) if poly.coeffs else [(0, 0)])
+
+
+def _log(message: str) -> None:
+    print(message, file=sys.stderr)
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -514,44 +504,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.subcommand == "expand":
-            if args.n < 0:
-                parser.error("--n must be >= 0")
-            s = series.expand_borwein(args.n)
-            doc = new_report("expand", {"n": args.n})
-            doc.data["degree"] = s.degree
-            doc.data["constant_term"] = s.poly[0]
-            doc.data["leading_term"] = s.poly[s.degree]
-            if args.json is not None:
-                doc.data["coefficients"] = list(s.poly.coeffs)
-            doc.finish()
-            _log(f"expand n={args.n} degree={s.degree} {doc.status}")
-            _emit([doc], args.json)
-            if args.csv is not None:
-                _emit_csv(s.poly, args.csv)
-            return _exit_code([doc])
-        if args.subcommand == "verify":
-            return _drive_sweep(parser, args, verify_block, 0, "n")
-        if args.subcommand == "partial-sums":
-            return _drive_sweep(parser, args, partial_sums_block, 0, "n")
-        if args.subcommand == "modcount":
-            return _drive_sweep(parser, args, modcount_block, 0, "n")
-        if args.subcommand == "identity":
-            return _drive_sweep(parser, args, identity_block, 1, "m")
-        if args.subcommand == "conjecture23":
-            return _drive_sweep(parser, args, conjecture23_block, 0, "n")
-        if args.subcommand == "stanley":
-            return _drive_primes(
-                args,
-                lambda p: partitions.verify_stanley(p, args.k_max),
-                _STANLEY_PRIMES,
-            )
-        if args.subcommand == "coherence":
-            return _drive_primes(
-                args,
-                lambda p: partitions.sign_coherence_check(p, args.j_max),
-                _COHERENCE_PRIMES,
-            )
-        raise AssertionError(f"unhandled subcommand {args.subcommand}")
+            return _expand(parser, args)
+        return _sweep(parser, args)
     except ManifestError as exc:
         _log(f"error: {exc}")
         return 2

@@ -125,12 +125,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int) -> "IntPolynomial":
-        return pow_trunc(self, e)
-
-    def __call__(self, x: int) -> int:
-        return eval_at(self, x)
-
     def shift(self, m: int) -> "IntPolynomial":
         """Multiply by q^m."""
         if m < 0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 
@@ -277,7 +278,14 @@ def test_manifest_resume_chains_through_completed_points(
 
 
 @pytest.mark.parametrize(
-    "command, lo", [("verify", 0), ("conjecture23", 0), ("identity", 1)]
+    "command, lo",
+    [
+        ("verify", 0),
+        ("conjecture23", 0),
+        ("identity", 1),
+        ("partial-sums", 0),
+        ("modcount", 0),
+    ],
 )
 def test_jobs_blocks_match_serial(tmp_path, monkeypatch, command, lo):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755590400")
@@ -403,3 +411,71 @@ def test_progress_lines_go_to_stderr(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "verify n=2 pass" in captured.err
+
+
+RANGE_OPTIONS = {
+    "--n": None,
+    "--n-max": None,
+    "--json": None,
+    "--jobs": 1,
+    "--manifest": None,
+    "--fresh": False,
+}
+
+
+@pytest.mark.parametrize(
+    "command, options, lowest",
+    [
+        ("expand", {"--n": None, "--json": None, "--csv": None}, 0),
+        ("verify", {**RANGE_OPTIONS, "--n-min": 0}, 0),
+        ("partial-sums", {**RANGE_OPTIONS, "--n-min": 0}, 0),
+        ("modcount", {**RANGE_OPTIONS, "--n-min": 0}, 0),
+        ("identity", {**RANGE_OPTIONS, "--n-min": 1}, 1),
+        ("conjecture23", {**RANGE_OPTIONS, "--n-min": 0}, 0),
+        ("stanley", {"--p": None, "--k-max": 100, "--json": None}, None),
+        ("coherence", {"--p": None, "--j-max": 2000, "--json": None}, None),
+    ],
+)
+def test_subcommand_parser_shape(command, options, lowest):
+    (subparsers,) = [
+        a
+        for a in cli._build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    ]
+    sub = subparsers.choices[command]
+    actual = {
+        a.option_strings[-1]: a.default
+        for a in sub._actions
+        if not isinstance(a, argparse._HelpAction)
+    }
+    assert actual == options
+    assert all(len(a.option_strings) == 1 for a in sub._actions[1:])
+    if lowest is not None:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--n", str(lowest - 1))
+        assert exc.value.code == 2
+        assert run_cli(command, "--n", str(lowest)) == 0
+    else:
+        for flag, value in (("--jobs", "2"), ("--manifest", "m.json")):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(command, "--p", "5", flag, value)
+            assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, worker, bound",
+    [
+        ("stanley", "verify_stanley", "--k-max"),
+        ("coherence", "sign_coherence_check", "--j-max"),
+    ],
+)
+def test_prime_workers_looked_up_at_call_time(monkeypatch, command, worker, bound):
+    calls: list[tuple[int, int]] = []
+
+    def recorder(p: int, limit: int):
+        calls.append((p, limit))
+        return new_report(command, {"p": p}).finish()
+
+    monkeypatch.setattr(cli.partitions, worker, recorder)
+    assert run_cli(command, "--p", "5", bound, "30") == 0
+    assert calls == [(5, 30)]
