@@ -13,22 +13,17 @@ Everything is integer-exact: no floats, no fixed-width arithmetic.
 """
 
 from .exactmath import (
-    CycleType,
     binomial,
-    cycle_type_count,
-    cycle_types,
     divisors,
     euler_phi,
     generalized_binomial,
     is_prime,
     mobius,
     ramanujan_sum,
-    rising_factorial,
     trinomial_coeff,
 )
 from .modcount import (
     CapacityError,
-    CharacterClassPolynomial,
     LiteralFormEvaluation,
     OracleMismatchError,
     SignedCountTable,
@@ -67,7 +62,6 @@ from .qpoly import (
 from .report import CrossCheck, ReportDocument, Violation, report_to_json
 from .series import (
     BorweinSeries,
-    SignReport,
     TripleDecomposition,
     a_via_qbinomial,
     check_sign_pattern,
@@ -83,17 +77,13 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # exactmath
-    "CycleType",
     "binomial",
-    "cycle_type_count",
-    "cycle_types",
     "divisors",
     "euler_phi",
     "generalized_binomial",
     "is_prime",
     "mobius",
     "ramanujan_sum",
-    "rising_factorial",
     "trinomial_coeff",
     # qpoly
     "InexactDivisionError",
@@ -109,7 +99,6 @@ __all__ = [
     "pow_trunc",
     # series
     "BorweinSeries",
-    "SignReport",
     "TripleDecomposition",
     "a_via_qbinomial",
     "check_sign_pattern",
@@ -119,7 +108,6 @@ __all__ = [
     "verify_partial_sums",
     # modcount
     "CapacityError",
-    "CharacterClassPolynomial",
     "LiteralFormEvaluation",
     "OracleMismatchError",
     "SignedCountTable",

@@ -52,9 +52,6 @@ __all__ = ["run", "main"]
 
 MANIFEST_FORMAT = 1
 
-_STANLEY_PRIMES = (3, 5, 7, 11, 13)
-_COHERENCE_PRIMES = (2, 3, 5, 7, 11)
-
 
 # ---------------------------------------------------------------------------
 # block workers (top-level so process pools can pickle them)
@@ -117,8 +114,7 @@ def _verify_checks(doc: ReportDocument, n: int, poly: IntPolynomial) -> ReportDo
     product is grown by full sparse passes, and the check is direct.
     """
     s = series.BorweinSeries(n=n, poly=poly)
-    report = series.check_sign_pattern(s)
-    doc.violations.extend(report.violations)
+    doc.violations.extend(series.check_sign_pattern(s))
     expected_degree = 3 * (n + 1) * (n + 1)
     doc.cross_checks.append(
         CrossCheck("degree", str(expected_degree), str(s.degree))

@@ -1,18 +1,18 @@
 """Exact integer arithmetic helpers.
 
-Divisors, Möbius, totient, Ramanujan sums, binomial and trinomial
-coefficients, rising factorials, and permutation cycle-type counts.
-Everything is pure and exact: plain ``int`` (or ``Fraction``) in, plain
-``int`` (or ``Fraction``) out, no floating point anywhere.
+Divisors, Möbius, totient and Ramanujan sums for the divisor formula;
+binomials, including the rational ones of the literal closed form;
+trinomial coefficients, the independent reference row for G_3; and
+trial-division primality. Everything is pure and exact: plain ``int``
+(or ``Fraction``) in, plain ``int`` (or ``Fraction``) out, no floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 __all__ = [
     "divisors",
@@ -22,11 +22,7 @@ __all__ = [
     "binomial",
     "generalized_binomial",
     "trinomial_coeff",
-    "rising_factorial",
     "is_prime",
-    "CycleType",
-    "cycle_types",
-    "cycle_type_count",
 ]
 
 
@@ -139,16 +135,6 @@ def _trinomial_row(m: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-def rising_factorial(q: int, k: int) -> int:
-    """Ascending product q(q+1)...(q+k-1); the empty product is 1."""
-    if k < 0:
-        raise ValueError(f"rising_factorial needs k >= 0, got {k}")
-    result = 1
-    for i in range(k):
-        result *= q + i
-    return result
-
-
 def is_prime(n: int) -> bool:
     """Trial-division primality check; inputs here are desk-scale."""
     if n < 2:
@@ -160,56 +146,3 @@ def is_prime(n: int) -> bool:
         p += 1
     return True
 
-
-@dataclass(frozen=True)
-class CycleType:
-    """Cycle type of a permutation: counts[i-1] = number of cycles of length i.
-
-    A type for S_k stores a counts vector of length k with Σ i·c_i = k.
-    """
-
-    counts: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.counts)
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(self.counts)
-
-    def is_valid(self) -> bool:
-        return (
-            all(c >= 0 for c in self.counts)
-            and sum(i * c for i, c in enumerate(self.counts, start=1)) == self.k
-        )
-
-
-def cycle_types(k: int) -> Iterator[CycleType]:
-    """All valid cycle types for S_k (one per partition of k)."""
-    if k < 0:
-        raise ValueError(f"cycle_types needs k >= 0, got {k}")
-
-    def rec(remaining: int, max_part: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-
-    for parts in rec(k, k):
-        counts = [0] * k
-        for part in parts:
-            counts[part - 1] += 1
-        yield CycleType(tuple(counts))
-
-
-def cycle_type_count(t: CycleType) -> int:
-    """Number of permutations in S_k with cycle type t: k! / Π i^{c_i}·c_i!."""
-    if not t.is_valid():
-        raise ValueError(f"invalid cycle type {t.counts!r}: lengths must sum to k")
-    denom = 1
-    for i, c in enumerate(t.counts, start=1):
-        denom *= i**c * math.factorial(c)
-    return math.factorial(t.k) // denom

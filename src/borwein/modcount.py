@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
+from typing import Callable
 
 from .exactmath import binomial, divisors, generalized_binomial, ramanujan_sum
 from .qpoly import IntPolynomial, InexactDivisionError, eval_at, exact_div, pow_trunc
@@ -38,7 +39,6 @@ __all__ = [
     "CapacityError",
     "OracleMismatchError",
     "SignedCountTable",
-    "CharacterClassPolynomial",
     "dp_signed_counts",
     "enumerate_signed_counts",
     "character_class_polynomial",
@@ -71,19 +71,6 @@ class SignedCountTable:
     @property
     def N(self) -> int:
         return 3 * (self.n + 1)
-
-
-@dataclass(frozen=True)
-class CharacterClassPolynomial:
-    """G_d(t) = ∏_{a in D} (1 + χ(a)·t) for any character χ of order d.
-
-    The product depends only on the order d, not on the choice of χ, and
-    its coefficients are plain integers.
-    """
-
-    N: int
-    d: int
-    poly: IntPolynomial
 
 
 def _signed_from_counts(counts: list[list[int]], N: int) -> tuple[int, ...]:
@@ -173,39 +160,29 @@ def _class_polynomial(N: int, d: int) -> IntPolynomial:
     return quotient
 
 
-def character_class_polynomial(N: int, d: int) -> CharacterClassPolynomial:
-    """G_d(t) for characters of Z_N of order d, built without complex numbers.
+def character_class_polynomial(N: int, d: int) -> IntPolynomial:
+    """G_d(t) = ∏_{a in D} (1 + χ(a)·t) for any character χ of Z_N of order d.
 
-    Exact polynomial division; a remainder would mean the derivation is
-    wrong, and raises.
+    The product depends only on the order d, not on the choice of χ, and
+    its coefficients are plain integers. It is built without complex
+    numbers, by exact polynomial division; a remainder would mean the
+    derivation is wrong, and raises.
     """
     if N < 3 or N % 3:
         raise ValueError(f"N must be a positive multiple of 3, got {N}")
     if d < 1 or N % d:
         raise ValueError(f"d must divide N = {N}, got {d}")
-    return CharacterClassPolynomial(N=N, d=d, poly=_class_polynomial(N, d))
+    return _class_polynomial(N, d)
 
 
-def _phi_row(N: int, b: int) -> dict[int, int]:
-    return {d: ramanujan_sum(d, b) for d in divisors(N)}
+def _character_sum(
+    N: int, k: int | None, b: int, weights: dict[int, int], phi: Callable[[int], int]
+) -> int:
+    """(1/N)·Σ_{d|N} Φ_d(b)·w_d, with phi(d) = Φ_d(b) asked only where w_d ≠ 0.
 
-
-def divisor_formula_eval(n: int, b: int, k: int | None = None) -> int:
-    """Closed-form M(k, b) (or signed M(b) when k is omitted).
-
-    M(k, b) = (1/N) Σ_{d|N} Φ_d(b)·[t^k] G_d(t); summing over k with
-    alternating signs turns [t^k] G_d into G_d(-1). Both divisions by N
-    must be exact; a remainder raises.
+    The division by N must be exact; a remainder raises.
     """
-    if n < 0:
-        raise ValueError(f"divisor_formula_eval needs n >= 0, got {n}")
-    N = 3 * (n + 1)
-    total = 0
-    for d in divisors(N):
-        g = _class_polynomial(N, d)
-        weight = eval_at(g, -1) if k is None else g[k]
-        if weight:
-            total += ramanujan_sum(d, b) * weight
+    total = sum(phi(d) * w for d, w in weights.items() if w)
     quotient, remainder = divmod(total, N)
     if remainder:
         raise InexactDivisionError(
@@ -214,28 +191,34 @@ def divisor_formula_eval(n: int, b: int, k: int | None = None) -> int:
     return quotient
 
 
+def divisor_formula_eval(n: int, b: int, k: int | None = None) -> int:
+    """Closed-form M(k, b) (or signed M(b) when k is omitted).
+
+    M(k, b) = (1/N) Σ_{d|N} Φ_d(b)·[t^k] G_d(t); summing over k with
+    alternating signs turns [t^k] G_d into G_d(-1). The division by N
+    must be exact; a remainder raises.
+    """
+    if n < 0:
+        raise ValueError(f"divisor_formula_eval needs n >= 0, got {n}")
+    N = 3 * (n + 1)
+    weights: dict[int, int] = {}
+    for d in divisors(N):
+        g = _class_polynomial(N, d)
+        weights[d] = eval_at(g, -1) if k is None else g[k]
+    return _character_sum(N, k, b, weights, lambda d: ramanujan_sum(d, b))
+
+
 def divisor_formula_table(n: int) -> SignedCountTable:
     """Whole table via the divisor formula; same contract as the DP."""
     N = 3 * (n + 1)
-    size = 2 * N // 3
     class_polys = {d: _class_polynomial(N, d) for d in divisors(N)}
-    phi = {d: [ramanujan_sum(d, b) for b in range(N)] for d in divisors(N)}
+    phi = [{d: ramanujan_sum(d, b) for d in class_polys} for b in range(N)]
     counts: list[list[int]] = []
-    for k in range(size + 1):
-        row: list[int] = []
-        for b in range(N):
-            total = sum(
-                phi[d][b] * class_polys[d][k]
-                for d in divisors(N)
-                if class_polys[d][k]
-            )
-            quotient, remainder = divmod(total, N)
-            if remainder:
-                raise InexactDivisionError(
-                    f"character sum {total} not divisible by N={N} at (k={k}, b={b})"
-                )
-            row.append(quotient)
-        counts.append(row)
+    for k in range(2 * N // 3 + 1):
+        weights = {d: g[k] for d, g in class_polys.items()}
+        counts.append(
+            [_character_sum(N, k, b, weights, phi[b].__getitem__) for b in range(N)]
+        )
     return SignedCountTable(
         n=n,
         counts=tuple(tuple(row) for row in counts),

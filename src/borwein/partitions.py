@@ -192,20 +192,23 @@ def verify_stanley(p: int, K: int) -> ReportDocument:
     second_counts = (
         restricted_partition_counts(second, K) if second is not None else ()
     )
-    mismatches = 0
+
+    def rhs(k: int, offset: int) -> int:
+        """The two-term value at k, the second term recentred by offset."""
+        value = first_counts[k]
+        if second is not None and k >= offset:
+            value += second_counts[k - offset]
+        return value
+
     for k in range(K + 1):
-        rhs = first_counts[k]
-        if second is not None and k - delta >= 0:
-            rhs += second_counts[k - delta]
-        lhs = prefix.coefficient(p * k)
-        if lhs != rhs:
-            mismatches += 1
+        lhs, expected = prefix.coefficient(p * k), rhs(k, delta)
+        if lhs != expected:
             doc.violations.append(
                 Violation(
                     kind="partition-formula-mismatch",
                     location={"p": p, "k": k},
                     value=lhs,
-                    expected=str(rhs),
+                    expected=str(expected),
                 )
             )
     doc.data["offset"] = delta
@@ -216,12 +219,9 @@ def verify_stanley(p: int, K: int) -> ReportDocument:
         if printed_delta != delta:
             witness = None
             for k in range(K + 1):
-                rhs = first_counts[k]
-                shifted = k - printed_delta
-                if shifted >= 0:
-                    rhs += second_counts[shifted]
-                if prefix.coefficient(p * k) != rhs:
-                    witness = {"k": k, "lhs": prefix.coefficient(p * k), "rhs": rhs}
+                lhs, expected = prefix.coefficient(p * k), rhs(k, printed_delta)
+                if lhs != expected:
+                    witness = {"k": k, "lhs": lhs, "rhs": expected}
                     break
             doc.data["quoted_offset_first_mismatch"] = witness
     return doc.finish()

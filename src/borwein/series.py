@@ -17,7 +17,6 @@ from .report import ReportDocument, Violation, new_report
 __all__ = [
     "BorweinSeries",
     "TripleDecomposition",
-    "SignReport",
     "expand_borwein",
     "decompose_abc",
     "check_sign_pattern",
@@ -65,18 +64,6 @@ class TripleDecomposition:
         for i, v in enumerate(self.c.coeffs):
             out[3 * i + 2] = -v
         return IntPolynomial(out)
-
-
-@dataclass(frozen=True)
-class SignReport:
-    """Outcome of the sign-pattern check for one series."""
-
-    n: int
-    violations: tuple[Violation, ...]
-
-    @property
-    def status(self) -> str:
-        return "pass" if not self.violations else "fail"
 
 
 def expand_borwein(n: int) -> BorweinSeries:
@@ -137,9 +124,12 @@ def sign_violations(
     return out
 
 
-def check_sign_pattern(s: BorweinSeries) -> SignReport:
-    """Conjectured pattern: a_j ≥ 0 when 3 | j, a_j ≤ 0 otherwise."""
-    return SignReport(n=s.n, violations=tuple(sign_violations(s.poly, 3, s.n)))
+def check_sign_pattern(s: BorweinSeries) -> list[Violation]:
+    """Conjectured pattern: a_j ≥ 0 when 3 | j, a_j ≤ 0 otherwise.
+
+    Returns the violations in ascending exponent order; [] means it holds.
+    """
+    return sign_violations(s.poly, 3, s.n)
 
 
 def a_via_qbinomial(m: int) -> IntPolynomial:

@@ -9,7 +9,6 @@ are asserted as hard limits well above the measured values.
 from __future__ import annotations
 
 import json
-import math
 import resource
 import time
 from contextlib import contextmanager
@@ -17,8 +16,6 @@ from contextlib import contextmanager
 import borwein.cli as cli
 from borwein import (
     binomial,
-    cycle_type_count,
-    cycle_types,
     decompose_abc,
     divisor_formula_table,
     dp_signed_counts,
@@ -33,7 +30,6 @@ from borwein import (
     pentagonal_series,
     ramanujan_sum,
     residue_partial_sums,
-    rising_factorial,
     sign_coherence_check,
     trinomial_coeff,
     verify_stanley,
@@ -151,13 +147,6 @@ def test_criterion_6_structural_invariants(capsys, series_upto_100):
                     for c in range(min(m, k // 2) + 1)
                 )
                 assert trinomial_coeff(m, k) == expected
-        for k in range(1, 8):
-            assert sum(map(cycle_type_count, cycle_types(k))) == math.factorial(k)
-            for q in (0, 1, 2, 5):
-                total = sum(
-                    cycle_type_count(t) * q ** sum(t.counts) for t in cycle_types(k)
-                )
-                assert total == rising_factorial(q, k)
 
 
 def test_criterion_7_deterministic_reports(capsys, tmp_path, monkeypatch):

@@ -5,22 +5,17 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
 from borwein import (
-    CycleType,
     binomial,
-    cycle_type_count,
-    cycle_types,
     divisors,
     euler_phi,
     generalized_binomial,
     is_prime,
     mobius,
     ramanujan_sum,
-    rising_factorial,
     trinomial_coeff,
 )
 
@@ -141,69 +136,7 @@ def test_trinomial_row_identities():
         assert row == row[::-1]
 
 
-def test_rising_factorial():
-    assert rising_factorial(3, 2) == 12
-    assert rising_factorial(7, 0) == 1
-    assert rising_factorial(1, 4) == 24
-    for q in range(1, 8):
-        for k in range(8):
-            assert rising_factorial(q, k) == math.factorial(q + k - 1) // math.factorial(q - 1)
-
-
 def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
-
-def _cycle_counts_of(perm: tuple[int, ...]) -> tuple[int, ...]:
-    k = len(perm)
-    seen = [False] * k
-    counts = [0] * k
-    for start in range(k):
-        if seen[start]:
-            continue
-        length = 0
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = perm[i]
-            length += 1
-        counts[length - 1] += 1
-    return tuple(counts)
-
-
-def test_cycle_type_count_examples():
-    assert cycle_type_count(CycleType((1, 1, 0))) == 3
-    assert cycle_type_count(CycleType((3, 0, 0))) == 1
-    assert cycle_type_count(CycleType((0, 0, 1))) == 2
-
-
-def test_cycle_type_count_rejects_invalid():
-    with pytest.raises(ValueError):
-        cycle_type_count(CycleType((1, 1, 1)))
-
-
-def test_cycle_type_counts_against_enumeration():
-    for k in range(1, 6):
-        tally: dict[tuple[int, ...], int] = {}
-        for perm in permutations(range(k)):
-            counts = _cycle_counts_of(perm)
-            tally[counts] = tally.get(counts, 0) + 1
-        for t in cycle_types(k):
-            assert cycle_type_count(t) == tally[t.counts]
-        assert sum(tally.values()) == math.factorial(k)
-
-
-def test_cycle_types_total_is_factorial():
-    for k in range(9):
-        assert sum(cycle_type_count(t) for t in cycle_types(k)) == math.factorial(k)
-
-
-def test_rising_factorial_cycle_identity():
-    # Σ_types N(type)·q^{#cycles} = q(q+1)...(q+k-1)
-    for k in range(9):
-        for q in range(1, 6):
-            total = sum(
-                cycle_type_count(t) * q**t.total_cycles for t in cycle_types(k)
-            )
-            assert total == rising_factorial(q, k)

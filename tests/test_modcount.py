@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+import borwein.cli as cli
+import borwein.modcount as modcount
 from borwein import (
     CapacityError,
-    CharacterClassPolynomial,
+    InexactDivisionError,
     binomial,
     character_class_polynomial,
     cross_validate,
@@ -99,13 +101,13 @@ def test_enumeration_capacity_guard():
 def test_class_polynomial_g1_is_binomial_power():
     for N in (3, 6, 9, 12):
         g = character_class_polynomial(N, 1)
-        assert isinstance(g, CharacterClassPolynomial)
-        assert g.poly == pow_trunc(IntPolynomial([1, 1]), 2 * N // 3)
+        assert isinstance(g, IntPolynomial)
+        assert g == pow_trunc(IntPolynomial([1, 1]), 2 * N // 3)
 
 
 def test_class_polynomial_g3_is_signed_trinomial_row():
     for N in (3, 6, 9, 12, 15, 30):
-        g = character_class_polynomial(N, 3).poly
+        g = character_class_polynomial(N, 3)
         m = N // 3
         assert g.degree == 2 * m
         for k in range(2 * m + 1):
@@ -113,11 +115,11 @@ def test_class_polynomial_g3_is_signed_trinomial_row():
 
 
 def test_class_polynomial_frozen_n6():
-    assert character_class_polynomial(6, 1).poly.coeffs == (1, 4, 6, 4, 1)
-    assert character_class_polynomial(6, 2).poly.coeffs == (1, 0, -2, 0, 1)
-    assert character_class_polynomial(6, 3).poly.coeffs == (1, -2, 3, -2, 1)
+    assert character_class_polynomial(6, 1).coeffs == (1, 4, 6, 4, 1)
+    assert character_class_polynomial(6, 2).coeffs == (1, 0, -2, 0, 1)
+    assert character_class_polynomial(6, 3).coeffs == (1, -2, 3, -2, 1)
     # (1+ωt)(1+ω²t)(1+ω⁴t)(1+ω⁵t) = (1+t+t²)(1-t+t²) for ω of order 6
-    assert character_class_polynomial(6, 6).poly.coeffs == (1, 0, 1, 0, 1)
+    assert character_class_polynomial(6, 6).coeffs == (1, 0, 1, 0, 1)
 
 
 def test_class_polynomial_validation():
@@ -134,7 +136,7 @@ def test_class_polynomial_validation():
 def test_class_polynomial_matches_complex_character_product():
     for N in (3, 6, 9, 12, 15, 18):
         for d in [d for d in range(1, N + 1) if N % d == 0]:
-            exact = character_class_polynomial(N, d).poly
+            exact = character_class_polynomial(N, d)
             approx = _complex_class_poly(N, N // d)
             assert len(approx) == 2 * N // 3 + 1
             for k, c in enumerate(approx):
@@ -145,7 +147,7 @@ def test_class_polynomial_matches_complex_character_product():
 def test_class_polynomial_independent_of_character_choice():
     # any character of order d gives the same product: for N = 9, d = 9
     # the characters are exp(2πi·m·a/9) with gcd(m, 9) = 1
-    exact = character_class_polynomial(9, 9).poly
+    exact = character_class_polynomial(9, 9)
     for m in (1, 2, 4, 5, 7, 8):
         approx = _complex_class_poly(9, m)
         for k, c in enumerate(approx):
@@ -161,6 +163,27 @@ def test_divisor_formula_point_values():
     assert divisor_formula_eval(1, 3, k=2) == 2
     assert divisor_formula_eval(1, 1, k=0) == 0
     assert divisor_formula_eval(0, 0) == 2
+
+
+def test_character_sum_remainder_raises(monkeypatch, capsys):
+    # Φ_6 one too large: at N = 6 the weight of d = 6 is 1 at k = 0 and
+    # G_6(-1) = 3 for the signed form, so 6 no longer divides either sum
+    exact = modcount.ramanujan_sum
+    monkeypatch.setattr(
+        modcount, "ramanujan_sum", lambda d, b: exact(d, b) + (d == 6)
+    )
+    with pytest.raises(
+        InexactDivisionError,
+        match=r"^character sum 27 not divisible by N=6 at \(k=None, b=0\)$",
+    ):
+        divisor_formula_eval(1, 0)
+    with pytest.raises(
+        InexactDivisionError,
+        match=r"^character sum 7 not divisible by N=6 at \(k=0, b=0\)$",
+    ):
+        divisor_formula_table(1)
+    assert cli.run(["modcount", "--n", "1"]) == 3
+    assert "not divisible by N=6" in capsys.readouterr().err
 
 
 def test_divisor_formula_table_matches_dp(dp_tables_upto_30):

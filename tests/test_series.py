@@ -93,9 +93,7 @@ def test_reverse_of_b_is_c(series_upto_100):
 
 def test_sign_pattern_holds_through_100(series_upto_100):
     for n, s in enumerate(series_upto_100):
-        report = check_sign_pattern(s)
-        assert report.status == "pass", f"violations at n={n}"
-        assert report.violations == ()
+        assert check_sign_pattern(s) == [], f"violations at n={n}"
 
 
 def test_sign_violations_detect_bad_coefficients():

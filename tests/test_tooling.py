@@ -4,9 +4,24 @@ from __future__ import annotations
 
 import importlib
 import json
+import sys
 from pathlib import Path
 
-DESIGN = Path(__file__).resolve().parent.parent / "perfbench" / "design.json"
+import borwein.cli as cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DESIGN = PERFBENCH / "design.json"
+
+# One command per sweep family, each a key of perfbench/reference.json.
+REFERENCE_COMMANDS = [
+    "verify --n-min 0 --n-max 100 --jobs 1 --json -",
+    "conjecture23 --n-min 0 --n-max 40 --jobs 1 --json -",
+    "modcount --n-min 14 --n-max 40 --jobs 1 --json -",
+    "identity --n-min 6 --n-max 40 --jobs 1 --json -",
+    "partial-sums --n 249 --json -",
+    "stanley --k-max 196 --json -",
+    "coherence --j-max 3960 --json -",
+]
 
 
 def test_traced_functions_are_public_callables():
@@ -25,3 +40,40 @@ def test_traced_functions_are_public_callables():
             if attr not in module.__all__ or not callable(getattr(module, attr, None)):
                 missing.append(f"{name}: {traced}")
     assert missing == []
+
+
+def test_reference_points_match(monkeypatch, capsys):
+    """Reports of one command per sweep family match the benchmark reference.
+
+    Each command runs in-process under the reference's SOURCE_DATE_EPOCH,
+    and perfbench/run.py's own Bench.check digests its points against
+    perfbench/reference.json, so a changed claim field (status,
+    violations, cross-checks, degree, partial sums, signed counts or
+    literal form) fails here before it fails a benchmark run.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    bench_run = importlib.import_module("run")
+    design = bench_run.load_json(DESIGN)
+    reference = bench_run.load_json(PERFBENCH / "reference.json")
+    bench = bench_run.Bench(design)
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", design["output_check"]["source_date_epoch"])
+    problems = []
+    for line in REFERENCE_COMMANDS:
+        command = line.split()
+        capsys.readouterr()
+        returncode = cli.run(command)
+        out, err = capsys.readouterr()
+        run = bench_run.CommandRun(
+            command=command,
+            returncode=returncode,
+            wall_s=0.0,
+            first_line_s=None,
+            stdout=out.encode("utf-8"),
+            stderr=err,
+            csv_sha256=None,
+            csv_bytes=0,
+            trace=None,
+        )
+        problems.extend(bench.check(run, reference)[1])
+    assert problems == []
