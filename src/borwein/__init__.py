@@ -40,10 +40,8 @@ from .partitions import (
     RestrictedPartitionSpec,
     eta_quotient_coeffs,
     pentagonal_series,
-    restricted_partition_count,
     restricted_partition_counts,
     sign_coherence_check,
-    stanley_rhs,
     verify_stanley,
 )
 from .qpoly import (
@@ -59,7 +57,7 @@ from .qpoly import (
     mul_trunc,
     pow_trunc,
 )
-from .report import CrossCheck, ReportDocument, Violation, report_to_json
+from .report import TOOL_VERSION, CrossCheck, ReportDocument, Violation, report_to_json
 from .series import (
     BorweinSeries,
     TripleDecomposition,
@@ -72,7 +70,7 @@ from .series import (
     verify_partial_sums,
 )
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION
 
 __all__ = [
     "__version__",
@@ -123,11 +121,9 @@ __all__ = [
     "RestrictedPartitionSpec",
     "eta_quotient_coeffs",
     "pentagonal_series",
-    "restricted_partition_count",
     "restricted_partition_counts",
     "sign_coherence_check",
     "sign_violations",
-    "stanley_rhs",
     "verify_stanley",
     # reports
     "CrossCheck",

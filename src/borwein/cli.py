@@ -134,20 +134,12 @@ def verify_block(points: Sequence[int]) -> list[ReportDocument]:
     return _chain("verify", "n", points, _borwein_start, _borwein_steps, _verify_checks)
 
 
-def verify_one(n: int) -> ReportDocument:
-    return verify_block([n])[0]
-
-
 def partial_sums_block(points: Sequence[int]) -> list[ReportDocument]:
     return [series.verify_partial_sums(n) for n in points]
 
 
-def modcount_one(n: int) -> ReportDocument:
-    return modcount.cross_validate(n)
-
-
 def modcount_block(points: Sequence[int]) -> list[ReportDocument]:
-    return [modcount_one(n) for n in points]
+    return [modcount.cross_validate(n) for n in points]
 
 
 def _identity_checks(doc: ReportDocument, m: int, poly: IntPolynomial) -> ReportDocument:
@@ -182,10 +174,6 @@ def identity_block(points: Sequence[int]) -> list[ReportDocument]:
         lambda m: _borwein_steps(m - 1),
         _identity_checks,
     )
-
-
-def identity_one(m: int) -> ReportDocument:
-    return identity_block([m])[0]
 
 
 def _conjecture23_start(n: int) -> list[IntPolynomial]:
@@ -230,17 +218,14 @@ def conjecture23_block(points: Sequence[int]) -> list[ReportDocument]:
     )
 
 
-def conjecture23_one(n: int) -> ReportDocument:
-    return conjecture23_block([n])[0]
-
-
 # ---------------------------------------------------------------------------
 # manifest
 
 
-def _params_hash(command: str, params: dict[str, str]) -> str:
+def _params_hash(command: str) -> str:
+    # "params" stays in the blob, always empty, so older manifests still load
     blob = json.dumps(
-        {"command": command, "params": params, "tool_version": TOOL_VERSION},
+        {"command": command, "params": {}, "tool_version": TOOL_VERSION},
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -251,17 +236,17 @@ class ManifestError(Exception):
 
 
 class Manifest:
-    """Per-n completion ledger keyed by a hash of result-affecting params.
+    """Per-n completion ledger keyed by a hash of command and tool version.
 
-    Range endpoints are not part of the hash: extending a range reuses
-    every completed entry. Any other parameter change (or a tool version
-    change) invalidates the file, which then requires --fresh.
+    Range endpoints and --jobs are not part of the hash: extending a
+    range reuses every completed entry. Another command or tool version
+    invalidates the file, which then requires --fresh.
     """
 
-    def __init__(self, path: str, command: str, params: dict[str, str]):
+    def __init__(self, path: str, command: str):
         self.path = path
         self.command = command
-        self.hash = _params_hash(command, params)
+        self.hash = _params_hash(command)
         self.completed: dict[int, str] = {}
 
     def load(self, fresh: bool) -> None:
@@ -272,12 +257,21 @@ class Manifest:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ManifestError(f"unreadable manifest {self.path}: {exc}") from exc
+        completed = raw.get("completed", {}) if isinstance(raw, dict) else None
+        if not isinstance(completed, dict) or not all(
+            k.isdecimal() and isinstance(v, str) and v in _EXIT_CODES
+            for k, v in completed.items()
+        ):
+            raise ManifestError(
+                f"malformed manifest {self.path}: expected an object whose "
+                f"'completed' maps point indices to one of {sorted(_EXIT_CODES)}"
+            )
         if raw.get("format") != MANIFEST_FORMAT or raw.get("params_hash") != self.hash:
             raise ManifestError(
                 f"manifest {self.path} does not match these parameters; "
                 "pass --fresh to discard it"
             )
-        self.completed = {int(k): str(v) for k, v in raw.get("completed", {}).items()}
+        self.completed = {int(k): v for k, v in completed.items()}
 
     def save(self) -> None:
         payload = {
@@ -422,7 +416,7 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     manifest: Manifest | None = None
     prior: list[str] = []
     if args.manifest:
-        manifest = Manifest(args.manifest, command, {})
+        manifest = Manifest(args.manifest, command)
         manifest.load(fresh=args.fresh)
         prior = [manifest.completed[n] for n in points if n in manifest.completed]
         if prior:

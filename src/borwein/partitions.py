@@ -21,9 +21,7 @@ __all__ = [
     "EtaQuotientPrefix",
     "pentagonal_series",
     "eta_quotient_coeffs",
-    "restricted_partition_count",
     "restricted_partition_counts",
-    "stanley_rhs",
     "verify_stanley",
     "sign_coherence_check",
 ]
@@ -120,13 +118,6 @@ def restricted_partition_counts(
     return tuple(dp)
 
 
-def restricted_partition_count(k: int, spec: RestrictedPartitionSpec) -> int:
-    """Partitions of k into allowed parts; 0 for negative k, 1 for k = 0."""
-    if k < 0:
-        return 0
-    return restricted_partition_counts(spec, k)[k]
-
-
 def _stanley_pieces(
     p: int,
 ) -> tuple[RestrictedPartitionSpec, RestrictedPartitionSpec | None, int, int]:
@@ -161,25 +152,14 @@ def _stanley_pieces(
     return first, second, delta, t
 
 
-def stanley_rhs(p: int, k: int) -> int:
-    """Two-term partition value equal to a_{p,pk}.
+def verify_stanley(p: int, K: int) -> ReportDocument:
+    """Check Stanley's two-term partition formula for a_{p,pk}, 0 <= k <= K.
 
-    P_{≢0,(3p-1)/2,(3p+1)/2 (mod 3p)}(k) plus, for p > 3, the second
-    restricted count at k - Δ with residues ((3∓2t)p∓1)/2 reduced mod 3p.
+    The right-hand side is P_{≢0,(3p-1)/2,(3p+1)/2 (mod 3p)}(k) plus, for
+    p > 3, the second restricted count at k - Δ (the derived offset,
+    reported as `offset`) with residues ((3∓2t)p∓1)/2 reduced mod 3p.
     Both terms enter positively; the pentagonal signs are absorbed by
     the recentering.
-    """
-    first, second, delta, _ = _stanley_pieces(p)
-    if k < 0:
-        return 0
-    value = restricted_partition_count(k, first)
-    if second is not None:
-        value += restricted_partition_count(k - delta, second)
-    return value
-
-
-def verify_stanley(p: int, K: int) -> ReportDocument:
-    """Check a_{p,pk} = stanley_rhs(p, k) for all 0 <= k <= K.
 
     For p ≡ 1 (mod 3) the report also records how the often-quoted
     offset t(pt+1)/6 behaves; its first mismatch is data, not a

@@ -56,18 +56,8 @@ class IntPolynomial:
         self._coeffs = cs if end == len(cs) else cs[:end]
 
     @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "IntPolynomial":
         return cls((1,))
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "IntPolynomial":
-        if exponent < 0:
-            raise ValueError(f"monomial exponent must be >= 0, got {exponent}")
-        return cls([0] * exponent + [coefficient])
 
     @property
     def coeffs(self) -> tuple[int, ...]:
@@ -81,12 +71,11 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
     def __len__(self) -> int:
         return len(self._coeffs)
 
+    # __getitem__ answers 0 past the end instead of raising IndexError,
+    # so iteration must not fall back to it: it would never stop.
     def __iter__(self) -> Iterator[int]:
         return iter(self._coeffs)
 
@@ -104,64 +93,17 @@ class IntPolynomial:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(map(neg, self._coeffs))
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return IntPolynomial(list(map(add, a, b)) + list(a[len(b):]))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(c * other for c in self._coeffs)
-        if isinstance(other, IntPolynomial):
-            return mul_trunc(self, other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def shift(self, m: int) -> "IntPolynomial":
-        """Multiply by q^m."""
-        if m < 0:
-            raise ValueError(f"shift must be >= 0, got {m}")
-        if not self._coeffs:
-            return self
-        return IntPolynomial((0,) * m + self._coeffs)
-
     def truncate(self, max_degree: int) -> "IntPolynomial":
         """Drop all terms with exponent above max_degree."""
         if max_degree < 0:
             return IntPolynomial()
         return IntPolynomial(self._coeffs[: max_degree + 1])
 
-    def reverse(self) -> "IntPolynomial":
-        """Coefficients reversed end to end (q^deg · P(1/q) for nonzero P)."""
-        return IntPolynomial(self._coeffs[::-1])
-
     def is_palindromic(self) -> bool:
         return self._coeffs == self._coeffs[::-1]
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self._coeffs)!r})"
-
-    def __str__(self) -> str:
-        if not self._coeffs:
-            return "0"
-        parts: list[str] = []
-        for e, c in enumerate(self._coeffs):
-            if not c:
-                continue
-            mag = "" if abs(c) == 1 and e else str(abs(c))
-            var = "" if e == 0 else ("q" if e == 1 else f"q^{e}")
-            term = mag + ("*" if mag and var else "") + var if (mag or var) else "1"
-            parts.append(("-" if c < 0 else "+") + term)
-        out = " ".join(parts)
-        return out[1:] if out.startswith("+") else out
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,6 @@ class BorweinSeries:
     def degree(self) -> int:
         return self.poly.degree
 
-    def coefficient(self, j: int) -> int:
-        return self.poly[j]
-
 
 @dataclass(frozen=True)
 class TripleDecomposition:
@@ -53,17 +50,6 @@ class TripleDecomposition:
     a: IntPolynomial
     b: IntPolynomial
     c: IntPolynomial
-
-    def reassemble(self) -> IntPolynomial:
-        """A(q³) - q·B(q³) - q²·C(q³), exactly."""
-        out = [0] * (3 * max(len(self.a), len(self.b), len(self.c)) + 2)
-        for i, v in enumerate(self.a.coeffs):
-            out[3 * i] = v
-        for i, v in enumerate(self.b.coeffs):
-            out[3 * i + 1] = -v
-        for i, v in enumerate(self.c.coeffs):
-            out[3 * i + 2] = -v
-        return IntPolynomial(out)
 
 
 def expand_borwein(n: int) -> BorweinSeries:

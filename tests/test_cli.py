@@ -188,7 +188,7 @@ def test_oracle_mismatch_maps_to_exit_3(monkeypatch):
     def broken(n: int):
         raise OracleMismatchError("synthetic disagreement")
 
-    monkeypatch.setattr(cli, "modcount_one", broken)
+    monkeypatch.setattr(cli.modcount, "cross_validate", broken)
     assert run_cli("modcount", "--n", "1") == 3
 
 
@@ -207,8 +207,9 @@ def test_jobs_parallel_output_matches_serial(tmp_path, monkeypatch):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def per_point_ndjson(one, points) -> bytes:
-    return "".join(report_to_json(one(p)) + "\n" for p in points).encode()
+def per_point_ndjson(block, points) -> bytes:
+    """NDJSON of each point run as a block of its own."""
+    return "".join(report_to_json(block([p])[0]) + "\n" for p in points).encode()
 
 
 def test_chained_products_match_fresh_expansion(series_upto_100):
@@ -236,19 +237,13 @@ def test_chained_products_match_fresh_expansion(series_upto_100):
     ) == [True] * 61
 
 
-@pytest.mark.parametrize(
-    "command, one",
-    [
-        ("verify", cli.verify_one),
-        ("conjecture23", cli.conjecture23_one),
-        ("identity", cli.identity_one),
-    ],
-)
-def test_chained_sweep_matches_per_point_reports(tmp_path, monkeypatch, command, one):
+@pytest.mark.parametrize("command", ["verify", "conjecture23", "identity"])
+def test_chained_sweep_matches_per_point_reports(tmp_path, monkeypatch, command):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755590400")
     out = tmp_path / "chained.ndjson"
     assert run_cli(command, "--n-min", "5", "--n-max", "25", "--json", str(out)) == 0
-    assert out.read_bytes() == per_point_ndjson(one, range(5, 26))
+    block = cli._SWEEPS[command][3]
+    assert out.read_bytes() == per_point_ndjson(block, range(5, 26))
 
 
 @pytest.mark.parametrize("first_range", [(0, 3), (4, 6)])
@@ -274,7 +269,7 @@ def test_manifest_resume_chains_through_completed_points(
         == 0
     )
     remaining = [n for n in range(10) if not lo <= n <= hi]
-    assert out.read_bytes() == per_point_ndjson(cli.verify_one, remaining)
+    assert out.read_bytes() == per_point_ndjson(cli.verify_block, remaining)
 
 
 @pytest.mark.parametrize(
@@ -383,10 +378,45 @@ def test_manifest_mismatch_requires_fresh(tmp_path):
     assert saved["command"] == "partial-sums"
 
 
-def test_manifest_corrupt_file_is_parameter_error(tmp_path):
+# _params_hash("verify") as every earlier version wrote it; manifests they
+# left behind load only while this stays the same
+VERIFY_MANIFEST_HASH = "0d2052c3eb7ec701a2a0599da8fae5eb7c129a9fc457ac868b68091129c3d9ca"
+
+
+def verify_manifest(completed: object) -> str:
+    return json.dumps(
+        {"format": 1, "params_hash": VERIFY_MANIFEST_HASH, "completed": completed}
+    )
+
+
+def test_manifest_corrupt_file_is_parameter_error(tmp_path, capsys):
     manifest = tmp_path / "m.json"
-    manifest.write_text("{not json")
-    assert run_cli("verify", "--n", "1", "--manifest", str(manifest)) == 2
+    bodies = [
+        "{not json",
+        "[]",
+        verify_manifest({"0": "bogus"}),
+        verify_manifest({"zero": "pass"}),
+    ]
+    for body in bodies:
+        manifest.write_text(body)
+        capsys.readouterr()
+        assert run_cli("verify", "--n", "1", "--manifest", str(manifest)) == 2, body
+        assert capsys.readouterr().err.startswith("error: "), body
+
+
+def test_manifest_hash_is_stable(tmp_path):
+    manifest = tmp_path / "m.json"
+    assert cli.Manifest(str(manifest), "verify").hash == VERIFY_MANIFEST_HASH
+    manifest.write_text(verify_manifest({"0": "pass"}))
+    out = tmp_path / "out.ndjson"
+    assert (
+        run_cli(
+            "verify", "--n-min", "0", "--n-max", "2",
+            "--manifest", str(manifest), "--json", str(out),
+        )
+        == 0
+    )
+    assert [d["params"]["n"] for d in read_ndjson(out)] == ["1", "2"]
 
 
 def test_ndjson_to_stdout(capsys):
@@ -479,3 +509,22 @@ def test_prime_workers_looked_up_at_call_time(monkeypatch, command, worker, boun
     monkeypatch.setattr(cli.partitions, worker, recorder)
     assert run_cli(command, "--p", "5", bound, "30") == 0
     assert calls == [(5, 30)]
+
+
+@pytest.mark.parametrize(
+    "command, module, worker",
+    [
+        ("partial-sums", "series", "verify_partial_sums"),
+        ("modcount", "modcount", "cross_validate"),
+    ],
+)
+def test_range_workers_looked_up_at_call_time(monkeypatch, command, module, worker):
+    calls: list[int] = []
+
+    def recorder(n: int):
+        calls.append(n)
+        return new_report(command, {"n": n}).finish()
+
+    monkeypatch.setattr(getattr(cli, module), worker, recorder)
+    assert run_cli(command, "--n-min", "2", "--n-max", "3") == 0
+    assert calls == [2, 3]

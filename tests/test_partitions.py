@@ -11,10 +11,8 @@ from borwein import (
     eta_quotient_coeffs,
     mul_sparse_factor,
     pentagonal_series,
-    restricted_partition_count,
     restricted_partition_counts,
     sign_coherence_check,
-    stanley_rhs,
     verify_stanley,
 )
 
@@ -151,39 +149,21 @@ def test_restricted_partition_counts_against_enumeration():
 
 def test_restricted_partition_count_edge_cases():
     spec = RestrictedPartitionSpec(modulus=3, forbidden=frozenset({0}))
-    assert restricted_partition_count(-1, spec) == 0
-    assert restricted_partition_count(0, spec) == 1
-    assert restricted_partition_count(3, spec) == 2  # 1+1+1, 2+1
     assert restricted_partition_counts(spec, -1) == ()
-
-
-def test_stanley_rhs_small_values():
-    # p = 3: parts ≢ 0,4,5 (mod 9); a_{3,3k} column of the p = 3 quotient
-    assert stanley_rhs(3, 0) == 1
-    assert stanley_rhs(3, 1) == 1
-    assert stanley_rhs(3, 2) == 2
-    assert stanley_rhs(3, -1) == 0
-    # p = 5: first term ≢ 0,7,8 (mod 15), second ≢ 0,2,13 (mod 15) at k-1
-    assert stanley_rhs(5, 0) == 1
-    assert stanley_rhs(5, 1) == 2
-    # p = 7: second subseries starts at offset 1, not the quoted 5
-    assert stanley_rhs(7, 1) == 2
+    assert restricted_partition_counts(spec, 0) == (1,)
+    assert restricted_partition_counts(spec, 3)[3] == 2  # 1+1+1, 2+1
 
 
 def test_stanley_rejects_bad_primes():
     with pytest.raises(ValueError):
-        stanley_rhs(2, 3)
-    with pytest.raises(ValueError):
-        stanley_rhs(9, 3)
+        verify_stanley(9, 3)
     with pytest.raises(ValueError):
         verify_stanley(2, 10)
 
 
 def test_stanley_matches_eta_column():
     for p, K in ((3, 60), (5, 60), (7, 50), (11, 40), (13, 40)):
-        prefix = eta_quotient_coeffs(p, p * K)
-        for k in range(K + 1):
-            assert stanley_rhs(p, k) == prefix.coefficient(p * k), f"p={p} k={k}"
+        assert verify_stanley(p, K).violations == [], f"p={p}"
 
 
 def test_verify_stanley_reports():

@@ -36,10 +36,10 @@ def test_expand_n1():
 def test_expand_n2_spot_values():
     s = expand_borwein(2)
     assert s.degree == 27
-    assert s.coefficient(0) == 1
-    assert s.coefficient(9) == 3
-    assert s.coefficient(27) == 1
-    assert s.coefficient(28) == 0
+    assert s.poly[0] == 1
+    assert s.poly[9] == 3
+    assert s.poly[27] == 1
+    assert s.poly[28] == 0
 
 
 def test_expand_rejects_negative():
@@ -51,8 +51,8 @@ def test_degree_and_endpoints(series_upto_100):
     for n in (0, 1, 2, 5, 17, 50, 100):
         s = series_upto_100[n]
         assert s.degree == 3 * (n + 1) ** 2
-        assert s.coefficient(0) == 1
-        assert s.coefficient(s.degree) == 1
+        assert s.poly[0] == 1
+        assert s.poly[s.degree] == 1
 
 
 def test_palindromic(series_upto_100):
@@ -79,15 +79,20 @@ def test_decompose_n2_a_component():
 
 def test_reassemble_round_trips(series_upto_100):
     for n in (0, 1, 2, 9, 40):
-        s = series_upto_100[n]
-        assert decompose_abc(s).reassemble() == s.poly
+        cs = series_upto_100[n].poly.coeffs
+        d = decompose_abc(series_upto_100[n])
+        # a_D = 1 and a_{D-2} = a_{D-1} = -1 end the three slices, so no
+        # component is trimmed and together they hold every coefficient
+        assert d.a.coeffs == cs[0::3]
+        assert d.b.coeffs == tuple(-v for v in cs[1::3])
+        assert d.c.coeffs == tuple(-v for v in cs[2::3])
 
 
 def test_reverse_of_b_is_c(series_upto_100):
     # palindromy of degree 3(n+1)² maps the B component onto C reversed
     for n in (0, 1, 2, 11, 60, 100):
         d = decompose_abc(series_upto_100[n])
-        assert d.b.reverse() == d.c
+        assert d.b.coeffs[::-1] == d.c.coeffs
         assert d.a.is_palindromic()
 
 

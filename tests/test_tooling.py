@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import sys
 from pathlib import Path
 
+import borwein
 import borwein.cli as cli
 
+SRC = Path(borwein.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DESIGN = PERFBENCH / "design.json"
 
@@ -77,3 +80,44 @@ def test_reference_points_match(monkeypatch, capsys):
         )
         problems.extend(bench.check(run, reference)[1])
     assert problems == []
+
+
+# Exports whose only callers are tests, each kept for the reason given.
+TEST_REFERENCES = {
+    "mul_trunc": "schoolbook product, the reference for the sparse kernel",
+    "pentagonal_series": "Euler's series, checked against the full eta product",
+    "trinomial_coeff": "the independent reference row for G_3",
+    "euler_phi": "the value every Ramanujan sum c_d(0) is checked against",
+    "character_class_polynomial": "G_d with its validation, against reference rows",
+}
+
+
+def test_public_names_have_callers():
+    """Every name in borwein.__all__ is used somewhere in the package.
+
+    A use is an identifier (a name or an attribute) or a string constant
+    (the prime sweeps look their workers up by name) in any module but
+    __init__.py, outside the __all__ lists. Definitions and imports are
+    not uses. Exports used only by tests are listed in TEST_REFERENCES;
+    __version__ is package metadata and has no caller by design.
+    """
+    used: set[str] = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                node.value = ast.Constant(None)  # the export list is no use
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    public = set(borwein.__all__) - {"__version__"}
+    assert sorted(public - used - set(TEST_REFERENCES)) == []
+    assert sorted(set(TEST_REFERENCES) & used) == []
