@@ -252,6 +252,19 @@ class LiteralFormEvaluation:
         return self.value - self.oracle
 
 
+@lru_cache(maxsize=None)
+def _literal_inner_sum(N: int, d: int) -> Fraction:
+    """Σ_{k = 0, d, ..., 2N/3} C(2N/(3d) + k/d - 1, k/d): the same for every b."""
+    inner = Fraction(0)
+    for j in range(2 * N // 3 // d + 1):
+        top = Fraction(2 * N, 3 * d) + j - 1
+        if top.denominator == 1 and top >= 0:
+            inner += binomial(int(top), j)
+        else:
+            inner += generalized_binomial(top, j)
+    return inner
+
+
 def literal_closed_form(n: int, b: int) -> LiteralFormEvaluation:
     """Evaluate the literal closed form 2·3^{N/3}/N + (1/N)·Σ_{d|N, d∉{1,3}} ...
 
@@ -266,19 +279,10 @@ def literal_closed_form(n: int, b: int) -> LiteralFormEvaluation:
     N = 3 * (n + 1)
     main = Fraction(2 * 3 ** (N // 3), N)
     correction = Fraction(0)
-    size = 2 * N // 3
     for d in divisors(N):
         if d in (1, 3):
             continue
-        inner = Fraction(0)
-        for k in range(0, size + 1, d):
-            j = k // d
-            top = Fraction(2 * N, 3 * d) + j - 1
-            if top.denominator == 1 and top >= 0:
-                inner += binomial(int(top), j)
-            else:
-                inner += generalized_binomial(top, j)
-        correction += Fraction(ramanujan_sum(d, b)) * inner
+        correction += Fraction(ramanujan_sum(d, b)) * _literal_inner_sum(N, d)
     correction /= N
     oracle = divisor_formula_eval(n, b)
     return LiteralFormEvaluation(

@@ -3,16 +3,18 @@
 The workhorse is repeated multiplication by sparse binomials (1 - q^m),
 which expands products like ∏ (1-q^{3j+1})(1-q^{3j+2}) in O(degree) per
 factor with plain Python ints as coefficients. Reference multiplication
-is schoolbook; division asserts exactness. Degrees reach a few million
-and coefficients a few thousand bits, so the hot loops stay on raw lists
-and C-level map()/slice operations.
+is schoolbook; division asserts exactness. Gaussian binomials use the
+same kernel: each step of the ratio recurrence over k is one sparse
+pass and one exact divide by (1-q^k), a running sum per residue class.
+Degrees reach a few million and coefficients a few thousand bits, so
+the hot loops stay on raw lists and C-level map()/slice operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, neg, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -244,28 +246,47 @@ def eval_at(P: IntPolynomial, x: int) -> int:
     return result
 
 
+def _div_one_minus(p: Sequence[int], k: int) -> list[int]:
+    """p / (1 - q^k) on raw coefficients: r_e = p_e + r_{e-k}.
+
+    Each residue class mod k is one running sum. The quotient keeps the
+    first len(p) - k of them; the last k are the remainder, and any
+    nonzero one proves p is not a multiple of 1 - q^k.
+    """
+    n = len(p)
+    out = [0] * n
+    for c in range(min(k, n)):
+        out[c::k] = accumulate(p[c::k])
+    keep = max(n - k, 0)
+    if any(out[keep:]):
+        raise InexactDivisionError(
+            f"degree {n - 1} polynomial not divisible by 1 - q^{k}"
+        )
+    del out[keep:]
+    return out
+
+
 @lru_cache(maxsize=2)
 def _gaussian_row(n: int) -> tuple[IntPolynomial, ...]:
-    """Row n of the q-Pascal triangle: ([n;0]_q, ..., [n;n]_q)."""
-    row: list[list[int]] = [[1]]
-    for r in range(1, n + 1):
-        new: list[list[int]] = [[1]]
-        for j in range(1, r):
-            shifted = [0] * j + row[j]
-            prev = row[j - 1]
-            if len(prev) < len(shifted):
-                prev, shifted = shifted, prev
-            new.append(list(map(add, prev, shifted)) + prev[len(shifted):])
-        new.append([1])
-        row = new
-    return tuple(IntPolynomial(entry) for entry in row)
+    """Row n of the q-binomials: ([n;0]_q, ..., [n;n]_q).
+
+    The left half comes from [n;j+1] = [n;j]·(1-q^{n-j})/(1-q^{j+1}),
+    each step one sparse pass and one exact divide, both O(degree); the
+    right half is its mirror [n;j] = [n;n-j].
+    """
+    half = [[1]]
+    for j in range(n // 2):
+        half.append(_div_one_minus(_sparse_step(half[-1], n - j, None), j + 1))
+    left = [IntPolynomial(entry) for entry in half]
+    return (*left, *left[: n - n // 2][::-1])
 
 
 def gaussian_binomial(n: int, k: int) -> IntPolynomial:
-    """The q-binomial [n; k]_q via the q-Pascal recurrence.
+    """The q-binomial [n; k]_q by the ratio recurrence over k.
 
-    [n;k] = [n-1;k-1] + q^k·[n-1;k]; out-of-range k gives the zero
-    polynomial. Palindromic of degree k(n-k), with [n;k](1) = C(n,k).
+    [n;k+1] = [n;k]·(1-q^{n-k})/(1-q^{k+1}), with every division exact;
+    out-of-range k gives the zero polynomial. Palindromic of degree
+    k(n-k), with [n;k](1) = C(n,k).
     """
     if n < 0:
         raise ValueError(f"gaussian_binomial needs n >= 0, got {n}")

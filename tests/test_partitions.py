@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+import borwein.partitions as partitions
 from borwein import (
     EtaQuotientPrefix,
     IntPolynomial,
+    ProductSpec,
     RestrictedPartitionSpec,
     eta_quotient_coeffs,
+    expand_product,
     mul_sparse_factor,
     pentagonal_series,
     restricted_partition_counts,
@@ -105,6 +108,21 @@ def test_eta_quotient_against_direct_product():
             if m % p:
                 direct = mul_sparse_factor(direct, m, trunc=J)
         assert eta_quotient_coeffs(p, J).poly == direct
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_eta_quotient_matches_truncated_product(p):
+    extra = {11: [4040], 13: [2652]}.get(p, [])
+    for J in [0, 1, p - 1, p, p + 1, 2 * p, 97, 600, *extra]:
+        spec = ProductSpec(p, frozenset(range(1, p)), J // p, truncation=J)
+        assert eta_quotient_coeffs(p, J).poly == expand_product(spec), J
+
+
+def test_partition_numbers_match_dp():
+    spec = RestrictedPartitionSpec(modulus=1, forbidden=frozenset())
+    assert partitions._partition_numbers(400) == list(
+        restricted_partition_counts(spec, 400)
+    )
 
 
 def test_eta_quotient_times_p_part_is_pentagonal():

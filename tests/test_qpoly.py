@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -158,6 +159,47 @@ def test_gaussian_binomial_against_product_formula():
             for i in range(1, k + 1):
                 den = mul_sparse_factor(den, i)
             assert exact_div(num, den) == gaussian_binomial(n, k)
+
+
+def q_pascal_rows(n_max):
+    """Rows 0..n_max of the q-Pascal triangle, [n;k] = [n-1;k-1] + q^k·[n-1;k].
+
+    Additions only, no division: the reference for the ratio recurrence.
+    """
+    row = [[1]]
+    yield row
+    for r in range(1, n_max + 1):
+        new = [[1]]
+        for j in range(1, r):
+            shifted = [0] * j + row[j]
+            prev = row[j - 1]
+            if len(prev) < len(shifted):
+                prev, shifted = shifted, prev
+            new.append(list(map(operator.add, prev, shifted)) + prev[len(shifted) :])
+        new.append([1])
+        row = new
+        yield row
+
+
+def test_gaussian_binomial_matches_q_pascal_triangle():
+    for n, row in enumerate(q_pascal_rows(60)):
+        assert [gaussian_binomial(n, k).coeffs for k in range(n + 1)] == [
+            tuple(entry) for entry in row
+        ]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(small_polys, st.integers(1, 8))
+def test_divide_by_one_minus_q_power_round_trips(p, k):
+    product = qpoly._sparse_step(p.coeffs, k, None)
+    assert qpoly._div_one_minus(product, k) == list(p.coeffs)
+
+
+def test_divide_by_one_minus_q_power_raises_on_remainder():
+    # none is a multiple: two leave a remainder, two are shorter than 1 - q^k
+    for p, k in (([1, 1, 1], 2), ([1], 1), ([1, -1], 3), ([1, 0, -1, 1], 2)):
+        with pytest.raises(InexactDivisionError):
+            qpoly._div_one_minus(p, k)
 
 
 def test_product_spec_validation():

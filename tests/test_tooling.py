@@ -85,7 +85,6 @@ def test_reference_points_match(monkeypatch, capsys):
 # Exports whose only callers are tests, each kept for the reason given.
 TEST_REFERENCES = {
     "mul_trunc": "schoolbook product, the reference for the sparse kernel",
-    "pentagonal_series": "Euler's series, checked against the full eta product",
     "trinomial_coeff": "the independent reference row for G_3",
     "euler_phi": "the value every Ramanujan sum c_d(0) is checked against",
     "character_class_polynomial": "G_d with its validation, against reference rows",
