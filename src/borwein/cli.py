@@ -6,12 +6,16 @@ plus optional CSV coefficient dumps. `expand` dumps one product; every
 other subcommand is a sweep and one row of a table, _SWEEPS (ranges of
 n) or _PRIME_SWEEPS (primes p). The parser is built from the tables,
 and one driver, _sweep, runs any row: points, manifest, blocks, log,
-emit and exit code. Inside a block, verify, identity and conjecture23
+emit and exit code. Block workers are generators that yield one report
+per point, ascending. Inside a block, verify, identity and conjecture23
 grow each point's product from the previous point's instead of
-expanding it again. Serially the whole range is one block; --jobs
-splits it into one block per worker and merges the reports in
-ascending order, so output is order-deterministic; with
-SOURCE_DATE_EPOCH set, reruns are byte-identical.
+expanding it again. Serially the whole range is one block and every
+point's line is logged, written, flushed and recorded in the manifest
+as soon as the point finishes; --jobs splits the range into one block
+per worker and writes each block's lines, in ascending order, once that
+block is done. Output is order-deterministic; with SOURCE_DATE_EPOCH
+set, reruns are byte-identical. A run that aborts keeps the lines and
+manifest entries of the points it finished.
 
 Exit codes: 0 all checks pass; 1 a claim check failed; 2 usage or
 parameter error (including unwritable destinations and manifest
@@ -23,13 +27,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Sequence
+from functools import partial
+from itertools import count
+from typing import Callable, Iterator, Sequence
 
 from . import modcount, partitions, series
 from .qpoly import (
@@ -56,10 +61,10 @@ MANIFEST_FORMAT = 1
 # ---------------------------------------------------------------------------
 # block workers (top-level so process pools can pickle them)
 #
-# A worker takes an ascending list of points and returns one report per
-# point. The Borwein-family workers chain inside the block: its first
-# point expands from scratch, and each later index multiplies the
-# previous index's products by its own factors.
+# A worker takes an ascending list of points and yields one report per
+# point, in order, as each point finishes. The Borwein-family workers
+# chain inside the block: its first point expands from scratch, and each
+# later index multiplies the previous index's products by its own factors.
 
 
 def _chain(
@@ -69,7 +74,7 @@ def _chain(
     start: Callable[[int], list[IntPolynomial]],
     steps: Callable[[int], list[tuple[int, ...]]],
     check: Callable[..., ReportDocument],
-) -> list[ReportDocument]:
+) -> Iterator[ReportDocument]:
     """Reports for `points`, each product grown from the previous index.
 
     start(n) expands the products of the block's first point; steps(n)
@@ -78,7 +83,6 @@ def _chain(
     not reported. check(doc, n, *products) finishes one point's report.
     """
     wanted = set(points)
-    docs: list[ReportDocument] = []
     products: list[IntPolynomial] = []
     for n in range(points[0], points[-1] + 1):
         doc = new_report(command, {label: n}) if n in wanted else None
@@ -92,8 +96,7 @@ def _chain(
                     # keep a third coefficient generation alive.
                     products[i] = mul_sparse_factor(products[i], m)
         if doc is not None:
-            docs.append(check(doc, n, *products))
-    return docs
+            yield check(doc, n, *products)
 
 
 def _borwein_start(n: int) -> list[IntPolynomial]:
@@ -130,16 +133,16 @@ def _verify_checks(doc: ReportDocument, n: int, poly: IntPolynomial) -> ReportDo
     return doc.finish()
 
 
-def verify_block(points: Sequence[int]) -> list[ReportDocument]:
+def verify_block(points: Sequence[int]) -> Iterator[ReportDocument]:
     return _chain("verify", "n", points, _borwein_start, _borwein_steps, _verify_checks)
 
 
-def partial_sums_block(points: Sequence[int]) -> list[ReportDocument]:
-    return [series.verify_partial_sums(n) for n in points]
+def partial_sums_block(points: Sequence[int]) -> Iterator[ReportDocument]:
+    return (series.verify_partial_sums(n) for n in points)
 
 
-def modcount_block(points: Sequence[int]) -> list[ReportDocument]:
-    return [modcount.cross_validate(n) for n in points]
+def modcount_block(points: Sequence[int]) -> Iterator[ReportDocument]:
+    return (modcount.cross_validate(n) for n in points)
 
 
 def _identity_checks(doc: ReportDocument, m: int, poly: IntPolynomial) -> ReportDocument:
@@ -165,7 +168,7 @@ def _identity_checks(doc: ReportDocument, m: int, poly: IntPolynomial) -> Report
     return doc.finish()
 
 
-def identity_block(points: Sequence[int]) -> list[ReportDocument]:
+def identity_block(points: Sequence[int]) -> Iterator[ReportDocument]:
     return _chain(
         "identity",
         "m",
@@ -207,7 +210,7 @@ def _conjecture23_checks(
     return doc.finish()
 
 
-def conjecture23_block(points: Sequence[int]) -> list[ReportDocument]:
+def conjecture23_block(points: Sequence[int]) -> Iterator[ReportDocument]:
     return _chain(
         "conjecture23",
         "n",
@@ -301,7 +304,7 @@ class Manifest:
 # function rebound in `partitions` after this module is imported (by a
 # tracer or a test) is the one that runs.
 
-_SWEEPS: dict[str, tuple[str, int, str, Callable[[Sequence[int]], list[ReportDocument]]]] = {
+_SWEEPS: dict[str, tuple[str, int, str, Callable[[Sequence[int]], Iterator[ReportDocument]]]] = {
     "verify": ("sign-pattern sweep over a range of n", 0, "n", verify_block),
     "partial-sums": (
         "strict positivity of residue-class partial sums", 0, "n", partial_sums_block
@@ -389,15 +392,26 @@ def _resolve_range(
 # drivers
 
 
+def _block_list(
+    block_worker: Callable[[Sequence[int]], Iterator[ReportDocument]],
+    points: Sequence[int],
+) -> list[ReportDocument]:
+    """A whole block's reports as a list: a pool can send that back, not a generator."""
+    return list(block_worker(points))
+
+
 def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Run a command of either table; returns the exit code.
 
     The points run as contiguous blocks, merged in ascending order.
-    Serially they form one block. Under --jobs they split into one block
-    per worker, with min(jobs, len(points), os.cpu_count()) workers:
-    every extra block starts its chain from scratch. The exit code is
-    that of the worst status among the new reports and the manifest's
-    reused entries.
+    Serially they form one block, and each point is logged, written and
+    recorded in the manifest as soon as it finishes. Under --jobs they
+    split into one block per worker, with min(jobs, len(points),
+    os.cpu_count()) workers: every extra block starts its chain from
+    scratch, and a block's points go out once the block is done. The
+    --json destination is opened before any point runs, so an
+    unwritable one fails at once. The exit code is that of the worst
+    status among the new reports and the manifest's reused entries.
     """
     command = args.subcommand
     if command in _SWEEPS:
@@ -410,37 +424,56 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         points = [args.p] if args.p is not None else list(primes)
 
         # nested, so never sent to a pool: prime commands have no --jobs
-        def block_worker(ps: Sequence[int]) -> list[ReportDocument]:
-            return [getattr(partitions, worker)(p, bound) for p in ps]
+        def block_worker(ps: Sequence[int]) -> Iterator[ReportDocument]:
+            return (getattr(partitions, worker)(p, bound) for p in ps)
 
     manifest: Manifest | None = None
-    prior: list[str] = []
+    statuses: list[str] = []
     if args.manifest:
         manifest = Manifest(args.manifest, command)
         manifest.load(fresh=args.fresh)
-        prior = [manifest.completed[n] for n in points if n in manifest.completed]
-        if prior:
-            _log(f"{command}: {len(prior)} completed entries reused from manifest")
+        statuses = [manifest.completed[n] for n in points if n in manifest.completed]
+        if statuses:
+            _log(f"{command}: {len(statuses)} completed entries reused from manifest")
         points = manifest.remaining(points)
     elif args.fresh:
         parser.error("--fresh requires --manifest")
-    workers = min(args.jobs, len(points), os.cpu_count() or 1)
+    with _open_json(args.json) as out:
+        docs = _run_blocks(block_worker, points, args.jobs)
+        for point, doc in zip(points, docs, strict=True):
+            _log(f"{command} {label}={point} {doc.status}")
+            if out is not None:
+                out.write(report_to_json(doc) + "\n")
+                out.flush()
+            if manifest is not None:
+                manifest.completed[point] = doc.status
+                manifest.save()
+            statuses.append(doc.status)
+    return max((_EXIT_CODES[s] for s in statuses), default=0)
+
+
+def _run_blocks(
+    block_worker: Callable[[Sequence[int]], Iterator[ReportDocument]],
+    points: list[int],
+    jobs: int,
+) -> Iterator[ReportDocument]:
+    """Every point's report, ascending.
+
+    Serially a report comes as soon as its point finishes; under a pool
+    a block's reports come together once that block is done.
+    """
+    workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers <= 1:
-        docs = block_worker(points) if points else []
-    else:
-        blocks = [
-            points[i * len(points) // workers : (i + 1) * len(points) // workers]
-            for i in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            docs = [doc for part in pool.map(block_worker, blocks) for doc in part]
-    for point, doc in zip(points, docs):
-        _log(f"{command} {label}={point} {doc.status}")
-    if manifest is not None:
-        manifest.completed.update(zip(points, [doc.status for doc in docs]))
-        manifest.save()
-    _emit(docs, args.json)
-    return max((_EXIT_CODES[s] for s in prior + [d.status for d in docs]), default=0)
+        if points:
+            yield from block_worker(points)
+        return
+    blocks = [
+        points[i * len(points) // workers : (i + 1) * len(points) // workers]
+        for i in range(workers)
+    ]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for block in pool.map(partial(_block_list, block_worker), blocks):
+            yield from block
 
 
 def _expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
@@ -455,7 +488,7 @@ def _expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         doc.data["coefficients"] = list(s.poly.coeffs)
     doc.finish()
     _log(f"expand n={args.n} degree={s.degree} {doc.status}")
-    _emit([doc], args.json)
+    _emit(doc, args.json)
     if args.csv is not None:
         _emit_csv(s.poly, args.csv)
     return _EXIT_CODES[doc.status]
@@ -468,20 +501,25 @@ def _open_dest(dest: str, newline: str):
     return open(dest, "w", encoding="utf-8", newline=newline)
 
 
-def _emit(docs: list[ReportDocument], json_dest: str | None) -> None:
+def _open_json(json_dest: str | None):
+    """The NDJSON destination, or None when --json was not given."""
     if json_dest is None:
-        return
-    text = "".join(report_to_json(d) + "\n" for d in docs)
-    with _open_dest(json_dest, "\n") as fh:
-        fh.write(text)
+        return contextlib.nullcontext(None)
+    return _open_dest(json_dest, "\n")
+
+
+def _emit(doc: ReportDocument, json_dest: str | None) -> None:
+    with _open_json(json_dest) as fh:
+        if fh is not None:
+            fh.write(report_to_json(doc) + "\n")
 
 
 def _emit_csv(poly: IntPolynomial, csv_dest: str) -> None:
     """Coefficient dump: header exponent,coefficient, one row per exponent."""
     with _open_dest(csv_dest, "") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["exponent", "coefficient"])
-        writer.writerows(enumerate(poly.coeffs) if poly.coeffs else [(0, 0)])
+        fh.write("exponent,coefficient\n")
+        # the zero polynomial has no coefficients and dumps as one (0, 0) row
+        fh.writelines(map("{},{}\n".format, count(), poly.coeffs or (0,)))
 
 
 def _log(message: str) -> None:

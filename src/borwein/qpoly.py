@@ -57,10 +57,6 @@ class IntPolynomial:
             end -= 1
         self._coeffs = cs if end == len(cs) else cs[:end]
 
-    @classmethod
-    def one(cls) -> "IntPolynomial":
-        return cls((1,))
-
     @property
     def coeffs(self) -> tuple[int, ...]:
         return self._coeffs

@@ -104,7 +104,7 @@ def test_criterion_5_partition_suite(capsys):
         capsys, 5, "pentagonal(400), partition formula K=100, coherence J=2000 in < 30 s"
     ):
         t0 = time.perf_counter()
-        product = IntPolynomial.one()
+        product = IntPolynomial((1,))
         for m in range(1, 401):
             product = mul_sparse_factor(product, m, trunc=400)
         assert pentagonal_series(400) == product

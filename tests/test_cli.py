@@ -9,7 +9,7 @@ import json
 import pytest
 
 import borwein.cli as cli
-from borwein import OracleMismatchError, ProductSpec, expand_product
+from borwein import IntPolynomial, OracleMismatchError, ProductSpec, expand_product
 from borwein.report import new_report, report_to_json
 
 
@@ -132,6 +132,12 @@ def test_expand_csv_round_trip(tmp_path):
     assert [int(r[0]) for r in rows[1:]] == list(range(13))
 
 
+def test_csv_dump_of_zero_polynomial_has_one_row(tmp_path):
+    out = tmp_path / "zero.csv"
+    cli._emit_csv(IntPolynomial(()), str(out))
+    assert out.read_bytes() == b"exponent,coefficient\n0,0\n"
+
+
 def test_expand_json_includes_coefficients(tmp_path):
     out = tmp_path / "n2.ndjson"
     assert run_cli("expand", "--n", "2", "--json", str(out)) == 0
@@ -184,6 +190,19 @@ def test_unwritable_json_destination(tmp_path):
     assert run_cli("verify", "--n", "1", "--json", str(dest)) == 2
 
 
+def test_unwritable_json_destination_fails_before_any_point(tmp_path, monkeypatch):
+    calls: list[int] = []
+
+    def recorder(n: int):
+        calls.append(n)
+        return new_report("modcount", {"n": n}).finish()
+
+    monkeypatch.setattr(cli.modcount, "cross_validate", recorder)
+    dest = tmp_path / "no-such-dir" / "out.ndjson"
+    assert run_cli("modcount", "--n-min", "0", "--n-max", "3", "--json", str(dest)) == 2
+    assert calls == []
+
+
 def test_oracle_mismatch_maps_to_exit_3(monkeypatch):
     def broken(n: int):
         raise OracleMismatchError("synthetic disagreement")
@@ -209,7 +228,7 @@ def test_jobs_parallel_output_matches_serial(tmp_path, monkeypatch):
 
 def per_point_ndjson(block, points) -> bytes:
     """NDJSON of each point run as a block of its own."""
-    return "".join(report_to_json(block([p])[0]) + "\n" for p in points).encode()
+    return "".join(report_to_json(next(block([p]))) + "\n" for p in points).encode()
 
 
 def test_chained_products_match_fresh_expansion(series_upto_100):
@@ -224,17 +243,17 @@ def test_chained_products_match_fresh_expansion(series_upto_100):
         )
 
     points = range(61)
-    assert cli._chain(
+    assert list(cli._chain(
         "verify", "n", points, cli._borwein_start, cli._borwein_steps, borwein_fresh
-    ) == [True] * 61
-    assert cli._chain(
+    )) == [True] * 61
+    assert list(cli._chain(
         "conjecture23",
         "n",
         points,
         cli._conjecture23_start,
         cli._conjecture23_steps,
         conjecture23_fresh,
-    ) == [True] * 61
+    )) == [True] * 61
 
 
 @pytest.mark.parametrize("command", ["verify", "conjecture23", "identity"])
@@ -364,6 +383,60 @@ def test_manifest_resume_skips_completed(tmp_path):
     assert [d["params"]["n"] for d in docs] == ["7", "8", "9", "10"]
     saved = json.loads(manifest.read_text())
     assert sorted(map(int, saved["completed"])) == list(range(11))
+
+
+def test_aborted_sweep_keeps_finished_points(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755590400")
+    manifest = tmp_path / "m.json"
+    out = tmp_path / "out.ndjson"
+    span = ("--n-min", "0", "--n-max", "5", "--manifest", str(manifest))
+    cross_validate = cli.modcount.cross_validate
+
+    def fails_at_3(n: int):
+        if n == 3:
+            raise OracleMismatchError("synthetic disagreement at n = 3")
+        return cross_validate(n)
+
+    monkeypatch.setattr(cli.modcount, "cross_validate", fails_at_3)
+    assert run_cli("modcount", *span, "--json", str(out)) == 3
+    assert out.read_bytes() == per_point_ndjson(cli.modcount_block, range(3))
+    saved = json.loads(manifest.read_text())
+    assert set(map(int, saved["completed"])) == {0, 1, 2}
+
+    monkeypatch.setattr(cli.modcount, "cross_validate", cross_validate)
+    rerun = tmp_path / "rerun.ndjson"
+    assert run_cli("modcount", *span, "--json", str(rerun)) == 0
+    assert rerun.read_bytes() == per_point_ndjson(cli.modcount_block, range(3, 6))
+    saved = json.loads(manifest.read_text())
+    assert set(map(int, saved["completed"])) == set(range(6))
+
+
+def test_range_sweep_streams_each_point(tmp_path, monkeypatch):
+    out = tmp_path / "out.ndjson"
+    lines_before: dict[int, int] = {}
+
+    def recorder(n: int):
+        lines_before[n] = len(out.read_bytes().splitlines())
+        return new_report("modcount", {"n": n}).finish()
+
+    monkeypatch.setattr(cli.modcount, "cross_validate", recorder)
+    assert run_cli("modcount", "--n-min", "4", "--n-max", "9", "--json", str(out)) == 0
+    assert lines_before == {n: n - 4 for n in range(4, 10)}
+
+
+def test_chained_sweep_streams_each_point(tmp_path, monkeypatch):
+    out = tmp_path / "out.ndjson"
+    lines_before: dict[int, int] = {}
+    check = cli._verify_checks
+
+    def recording_check(doc, n, poly):
+        lines_before[n] = len(out.read_bytes().splitlines())
+        return check(doc, n, poly)
+
+    monkeypatch.setattr(cli, "_verify_checks", recording_check)
+    assert run_cli("verify", "--n-min", "2", "--n-max", "8", "--json", str(out)) == 0
+    assert lines_before == {n: n - 2 for n in range(2, 9)}
+    assert len(read_ndjson(out)) == 7
 
 
 def test_manifest_mismatch_requires_fresh(tmp_path):

@@ -44,7 +44,7 @@ def test_pentagonal_series_prefix():
 
 def test_pentagonal_series_matches_euler_product():
     J = 400
-    product = IntPolynomial.one()
+    product = IntPolynomial((1,))
     for m in range(1, J + 1):
         product = mul_sparse_factor(product, m, trunc=J)
     assert pentagonal_series(J) == product
@@ -103,7 +103,7 @@ def test_eta_quotient_truncation_zero():
 def test_eta_quotient_against_direct_product():
     # multiply out (1-q^n) for p ∤ n term by term, no ProductSpec involved
     for p, J in ((2, 60), (3, 60), (5, 80), (11, 90)):
-        direct = IntPolynomial.one()
+        direct = IntPolynomial((1,))
         for m in range(1, J + 1):
             if m % p:
                 direct = mul_sparse_factor(direct, m, trunc=J)
