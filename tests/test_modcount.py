@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import cmath
+import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ import borwein.modcount as modcount
 from borwein import (
     CapacityError,
     InexactDivisionError,
+    OracleMismatchError,
+    SignedCountTable,
     binomial,
     character_class_polynomial,
     cross_validate,
@@ -86,9 +90,40 @@ def test_signed_vector_is_symmetric(dp_tables_upto_30):
             assert t.signed[b] == t.signed[t.N - b]
 
 
+def _combinations_reference(n: int) -> tuple[tuple[int, ...], ...]:
+    """M(k, b) one subset at a time, straight from itertools.combinations."""
+    N = 3 * (n + 1)
+    elements = [a for a in range(N) if a % 3]
+    counts = [[0] * N for _ in range(len(elements) + 1)]
+    for k in range(len(elements) + 1):
+        for subset in itertools.combinations(elements, k):
+            counts[k][sum(subset) % N] += 1
+    return tuple(tuple(row) for row in counts)
+
+
+def test_enumeration_matches_combinations_reference():
+    for n in range(5):
+        assert enumerate_signed_counts(n).counts == _combinations_reference(n)
+
+
 def test_enumeration_matches_dp():
-    for n in range(6):
-        assert enumerate_signed_counts(n).counts == dp_signed_counts(n).counts
+    # every n that cross_validate enumerates, up to |D| = 24
+    for n in range(12):
+        table = enumerate_signed_counts(n)
+        assert table.counts == dp_signed_counts(n).counts
+        size = 2 * table.N // 3
+        assert sum(map(sum, table.counts)) == 2**size
+
+
+def test_enumeration_memory_stays_small():
+    # a walk over all 2^24 subset sums at n = 11 would hold >= 128 MiB
+    tracemalloc.start()
+    try:
+        enumerate_signed_counts(11)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_enumeration_capacity_guard():
@@ -239,7 +274,8 @@ def test_literal_form_more_frozen_points():
 
 
 def test_cross_validate_passes():
-    for n in (0, 1, 4):
+    # n = 11 is the last point that enumerates: |D| = 24
+    for n in (0, 1, 4, 11):
         doc = cross_validate(n)
         assert doc.status == "pass"
         assert doc.violations == []
@@ -249,6 +285,32 @@ def test_cross_validate_passes():
         assert "signed_vs_partial_sums" in names
         assert all(c.agree for c in doc.cross_checks)
         assert doc.data["signed"][0] > 0
+
+
+@pytest.mark.parametrize(
+    "reshape, shape",
+    [
+        (lambda rows: rows[:-1], "8 rows of length 12"),
+        (lambda rows: rows[:3] + (rows[3][:-1],) + rows[4:], "9 rows of length 11/12"),
+    ],
+    ids=["row-dropped", "short-row"],
+)
+def test_cross_validate_rejects_enumeration_of_wrong_shape(
+    monkeypatch, reshape, shape
+):
+    # a missing or short row is an oracle mismatch naming both shapes,
+    # not a silent pass or an IndexError
+    def reshaped(n):
+        t = dp_signed_counts(n)
+        return SignedCountTable(n=n, counts=reshape(t.counts), signed=t.signed)
+
+    monkeypatch.setattr(modcount, "enumerate_signed_counts", reshaped)
+    with pytest.raises(
+        OracleMismatchError,
+        match=r"^dp vs enumeration differ in shape at N=12: "
+        rf"9 rows of length 12 != {shape}$",
+    ):
+        cross_validate(3)
 
 
 def test_cross_validate_skips_enumeration_when_large():
