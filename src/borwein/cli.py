@@ -414,6 +414,8 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     status among the new reports and the manifest's reused entries.
     """
     command = args.subcommand
+    if args.jobs < 1:
+        parser.error("--jobs must be >= 1")
     if command in _SWEEPS:
         _, minimum, label, block_worker = _SWEEPS[command]
         points = _resolve_range(parser, args, minimum)

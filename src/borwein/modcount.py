@@ -13,8 +13,9 @@ Three independent evaluators are kept deliberately separate:
   of D (meet in the middle),
 * an exact divisor-grouped closed form: characters of Z_N of a fixed
   order d all produce the same elementary-symmetric generating
-  polynomial G_d(t), and the character sum collapses to Ramanujan sums,
-  so M(k, b) = (1/N) Σ_{d|N} Φ_d(b) · [t^k] G_d(t) with every division
+  polynomial G_d(t), a power of a sparse closed-form base, and the
+  character sum collapses to Ramanujan sums, so
+  M(k, b) = (1/N) Σ_{d|N} Φ_d(b) · [t^k] G_d(t) with the division by N
   exact over the integers.
 
 A fourth evaluator, literal_closed_form, reproduces a published closed
@@ -25,7 +26,6 @@ discrepancies are recorded as data and never gate anything.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +33,7 @@ from operator import add
 from typing import Callable
 
 from .exactmath import binomial, divisors, generalized_binomial, ramanujan_sum
-from .qpoly import IntPolynomial, InexactDivisionError, eval_at, exact_div, pow_trunc
+from .qpoly import IntPolynomial, InexactDivisionError, eval_at, pow_trunc
 from .report import CrossCheck, ReportDocument, Violation, new_report
 from .series import expand_borwein, residue_partial_sums
 
@@ -182,21 +182,22 @@ def enumerate_signed_counts(n: int) -> SignedCountTable:
 
 @lru_cache(maxsize=None)
 def _class_polynomial(N: int, d: int) -> IntPolynomial:
-    # (1 - (-t)^d)^(N/d) divided exactly by (1 - (-t)^{d'})^(N/(3d'))
-    # with d' = d/gcd(d,3): the numerator collects the full orbit of
-    # χ-values over Z_N, the denominator removes the 3Z_N part, whose
-    # restricted character has order d'.
-    dprime = d // math.gcd(d, 3)
-    num_base = IntPolynomial([1] + [0] * (d - 1) + [-((-1) ** d)])
-    den_base = IntPolynomial([1] + [0] * (dprime - 1) + [-((-1) ** dprime)])
-    numerator = pow_trunc(num_base, N // d)
-    denominator = pow_trunc(den_base, N // (3 * dprime))
-    quotient = exact_div(numerator, denominator)
-    if quotient.degree != 2 * N // 3:
+    # In x = -t the χ-values over D give (1 - x^d)^(2N/(3d)) when 3 ∤ d,
+    # and (1 + x^{d/3} + x^{2d/3})^(N/d) when 3 | d: the full orbit
+    # (1 - x^d)^(N/d) less the 3Z_N part, whose restricted character
+    # has order d/gcd(d, 3).
+    if d % 3:
+        base = [1] + [0] * (d - 1) + [-((-1) ** d)]
+        power = pow_trunc(IntPolynomial(base), 2 * N // (3 * d))
+    else:
+        e = d // 3
+        base = [1] + [0] * (e - 1) + [(-1) ** e] + [0] * (e - 1) + [1]
+        power = pow_trunc(IntPolynomial(base), N // d)
+    if power.degree != 2 * N // 3:
         raise InexactDivisionError(
-            f"G_{d} for N={N} has degree {quotient.degree}, expected {2 * N // 3}"
+            f"G_{d} for N={N} has degree {power.degree}, expected {2 * N // 3}"
         )
-    return quotient
+    return power
 
 
 def character_class_polynomial(N: int, d: int) -> IntPolynomial:
@@ -204,8 +205,8 @@ def character_class_polynomial(N: int, d: int) -> IntPolynomial:
 
     The product depends only on the order d, not on the choice of χ, and
     its coefficients are plain integers. It is built without complex
-    numbers, by exact polynomial division; a remainder would mean the
-    derivation is wrong, and raises.
+    numbers as one power of a sparse closed-form base; a degree other
+    than 2N/3 would mean the derivation is wrong, and raises.
     """
     if N < 3 or N % 3:
         raise ValueError(f"N must be a positive multiple of 3, got {N}")

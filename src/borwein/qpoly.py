@@ -3,9 +3,11 @@
 The workhorse is repeated multiplication by sparse binomials (1 - q^m),
 which expands products like ∏ (1-q^{3j+1})(1-q^{3j+2}) in O(degree) per
 factor with plain Python ints as coefficients. Reference multiplication
-is schoolbook; division asserts exactness. Gaussian binomials use the
-same kernel: each step of the ratio recurrence over k is one sparse
-pass and one exact divide by (1-q^k), a running sum per residue class.
+and powering are schoolbook; pow_trunc raises the sparse closed-form
+bases of the divisor-class polynomials G_d. The one divider, exact_div,
+divides by (1-q^k) as a running sum per residue class and raises on a
+remainder. Gaussian binomials use the same kernel: each step of the
+ratio recurrence over k is one sparse pass and one exact_div.
 Degrees reach a few million and coefficients a few thousand bits, so
 the hot loops stay on raw lists and C-level map()/slice operations.
 """
@@ -64,10 +66,6 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self._coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -197,58 +195,16 @@ def pow_trunc(P: IntPolynomial, e: int, trunc: int | None = None) -> IntPolynomi
     return IntPolynomial(_pow_lists(list(P.coeffs), e, bound))
 
 
-def exact_div(P: IntPolynomial, Q: IntPolynomial) -> IntPolynomial:
-    """The R with R·Q = P exactly; anything inexact is an error.
-
-    Long division by the leading coefficient. If the true quotient has
-    integer coefficients, every leading step divides exactly, so any
-    remainder (intermediate or final) proves P is not a multiple of Q.
-    """
-    if Q.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if P.is_zero:
-        return IntPolynomial()
-    q = list(Q.coeffs)
-    rem = list(P.coeffs)
-    dq = len(q) - 1
-    lead = q[-1]
-    if len(rem) - 1 < dq:
-        raise InexactDivisionError(f"degree {len(rem)-1} < divisor degree {dq}")
-    quot = [0] * (len(rem) - dq)
-    for i in range(len(rem) - 1, dq - 1, -1):
-        c = rem[i]
-        if not c:
-            continue
-        f, r = divmod(c, lead)
-        if r:
-            raise InexactDivisionError(
-                f"leading coefficient {c} not divisible by {lead} at exponent {i}"
-            )
-        quot[i - dq] = f
-        off = i - dq
-        for j, b in enumerate(q):
-            if b:
-                rem[off + j] -= f * b
-    if any(rem):
-        raise InexactDivisionError("nonzero remainder")
-    return IntPolynomial(quot)
-
-
-def eval_at(P: IntPolynomial, x: int) -> int:
-    """Exact Horner evaluation of P at an integer."""
-    result = 0
-    for c in reversed(P.coeffs):
-        result = result * x + c
-    return result
-
-
-def _div_one_minus(p: Sequence[int], k: int) -> list[int]:
-    """p / (1 - q^k) on raw coefficients: r_e = p_e + r_{e-k}.
+def exact_div(P: IntPolynomial, k: int) -> IntPolynomial:
+    """P / (1 - q^k), which must be exact: r_e = p_e + r_{e-k}.
 
     Each residue class mod k is one running sum. The quotient keeps the
-    first len(p) - k of them; the last k are the remainder, and any
-    nonzero one proves p is not a multiple of 1 - q^k.
+    first len(P) - k of them; the last k are the remainder, and any
+    nonzero one proves P is not a multiple of 1 - q^k.
     """
+    if k < 1:
+        raise ValueError(f"divisor exponent must be >= 1, got {k}")
+    p = P.coeffs
     n = len(p)
     out = [0] * n
     for c in range(min(k, n)):
@@ -259,7 +215,15 @@ def _div_one_minus(p: Sequence[int], k: int) -> list[int]:
             f"degree {n - 1} polynomial not divisible by 1 - q^{k}"
         )
     del out[keep:]
-    return out
+    return IntPolynomial(out)
+
+
+def eval_at(P: IntPolynomial, x: int) -> int:
+    """Exact Horner evaluation of P at an integer."""
+    result = 0
+    for c in reversed(P.coeffs):
+        result = result * x + c
+    return result
 
 
 @lru_cache(maxsize=2)
@@ -270,10 +234,9 @@ def _gaussian_row(n: int) -> tuple[IntPolynomial, ...]:
     each step one sparse pass and one exact divide, both O(degree); the
     right half is its mirror [n;j] = [n;n-j].
     """
-    half = [[1]]
+    left = [IntPolynomial((1,))]
     for j in range(n // 2):
-        half.append(_div_one_minus(_sparse_step(half[-1], n - j, None), j + 1))
-    left = [IntPolynomial(entry) for entry in half]
+        left.append(exact_div(mul_sparse_factor(left[-1], n - j), j + 1))
     return (*left, *left[: n - n // 2][::-1])
 
 

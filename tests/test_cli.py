@@ -167,6 +167,14 @@ def test_n_and_n_max_conflict():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_usage_error(jobs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("modcount", "--n", "1", "--jobs", jobs)
+    assert exc.value.code == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -24,7 +25,6 @@ from borwein import (
     dp_signed_counts,
     enumerate_signed_counts,
     literal_closed_form,
-    pow_trunc,
     trinomial_coeff,
 )
 from borwein.qpoly import IntPolynomial
@@ -133,11 +133,24 @@ def test_enumeration_capacity_guard():
         enumerate_signed_counts(12)
 
 
-def test_class_polynomial_g1_is_binomial_power():
-    for N in (3, 6, 9, 12):
-        g = character_class_polynomial(N, 1)
-        assert isinstance(g, IntPolynomial)
-        assert g == pow_trunc(IntPolynomial([1, 1]), 2 * N // 3)
+def test_class_polynomial_is_spread_binomial_or_trinomial_row():
+    # in x = -t: G_d = (1 - x^d)^(2N/(3d)) when 3 ∤ d, a signed binomial
+    # row spread by d, and (1 + x^e + x^2e)^(N/d) with e = d/3 when 3 | d,
+    # a trinomial row spread by e
+    for N in range(3, 121, 3):
+        for d in [d for d in range(1, N + 1) if N % d == 0]:
+            expected = [0] * (2 * N // 3 + 1)
+            if d % 3:
+                m = 2 * N // (3 * d)
+                for j in range(m + 1):
+                    expected[d * j] = (-1) ** (j * (d + 1)) * math.comb(m, j)
+            else:
+                e, m = d // 3, N // d
+                for j in range(2 * m + 1):
+                    expected[e * j] = (-1) ** (e * j) * trinomial_coeff(m, j)
+            g = character_class_polynomial(N, d)
+            assert isinstance(g, IntPolynomial)
+            assert g.coeffs == tuple(expected), (N, d)
 
 
 def test_class_polynomial_g3_is_signed_trinomial_row():

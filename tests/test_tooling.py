@@ -8,11 +8,14 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 import borwein
 import borwein.cli as cli
 
 SRC = Path(borwein.__file__).resolve().parent
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 DESIGN = PERFBENCH / "design.json"
 
 # One command per sweep family, each a key of perfbench/reference.json.
@@ -85,7 +88,7 @@ def test_reference_points_match(monkeypatch, capsys):
 # Exports whose only callers are tests, each kept for the reason given.
 TEST_REFERENCES = {
     "mul_trunc": "schoolbook product, the reference for the sparse kernel",
-    "trinomial_coeff": "the independent reference row for G_3",
+    "trinomial_coeff": "the independent reference row for G_d when 3 | d",
     "euler_phi": "the value every Ramanujan sum c_d(0) is checked against",
     "character_class_polynomial": "G_d with its validation, against reference rows",
 }
@@ -120,3 +123,11 @@ def test_public_names_have_callers():
     public = set(borwein.__all__) - {"__version__"}
     assert sorted(public - used - set(TEST_REFERENCES)) == []
     assert sorted(set(TEST_REFERENCES) & used) == []
+
+
+def test_project_version_matches_tool_version():
+    """pyproject.toml's [project] version is the one reports carry."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == borwein.TOOL_VERSION
