@@ -36,7 +36,6 @@ from .modcount import (
     literal_closed_form,
 )
 from .partitions import (
-    EtaQuotientPrefix,
     RestrictedPartitionSpec,
     eta_quotient_coeffs,
     pentagonal_series,
@@ -54,7 +53,6 @@ from .qpoly import (
     expand_product,
     gaussian_binomial,
     mul_sparse_factor,
-    mul_trunc,
     pow_trunc,
 )
 from .report import TOOL_VERSION, CrossCheck, ReportDocument, Violation, report_to_json
@@ -93,7 +91,6 @@ __all__ = [
     "expand_product",
     "gaussian_binomial",
     "mul_sparse_factor",
-    "mul_trunc",
     "pow_trunc",
     # series
     "BorweinSeries",
@@ -117,7 +114,6 @@ __all__ = [
     "enumerate_signed_counts",
     "literal_closed_form",
     # partitions
-    "EtaQuotientPrefix",
     "RestrictedPartitionSpec",
     "eta_quotient_coeffs",
     "pentagonal_series",

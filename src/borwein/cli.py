@@ -34,7 +34,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from itertools import count
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 from . import modcount, partitions, series
 from .qpoly import (
@@ -479,20 +479,34 @@ def _run_blocks(
 
 
 def _expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """Expand P_n, write its report and CSV dump; returns the exit code.
+
+    Both destinations are opened before the expansion, so an unwritable
+    one fails at once instead of after the work.
+    """
     if args.n < 0:
         parser.error("--n must be >= 0")
-    s = series.expand_borwein(args.n)
-    doc = new_report("expand", {"n": args.n})
-    doc.data["degree"] = s.degree
-    doc.data["constant_term"] = s.poly[0]
-    doc.data["leading_term"] = s.poly[s.degree]
-    if args.json is not None:
-        doc.data["coefficients"] = list(s.poly.coeffs)
-    doc.finish()
-    _log(f"expand n={args.n} degree={s.degree} {doc.status}")
-    _emit(doc, args.json)
-    if args.csv is not None:
-        _emit_csv(s.poly, args.csv)
+    if args.csv is not None and args.csv != "-" and args.csv == args.json:
+        # two handles on one file would interleave the report and the dump
+        parser.error("--json and --csv must name different files")
+    with contextlib.ExitStack() as stack:
+        out = stack.enter_context(_open_json(args.json))
+        csv = None
+        if args.csv is not None:
+            csv = stack.enter_context(_open_dest(args.csv, ""))
+        s = series.expand_borwein(args.n)
+        doc = new_report("expand", {"n": args.n})
+        doc.data["degree"] = s.degree
+        doc.data["constant_term"] = s.poly[0]
+        doc.data["leading_term"] = s.poly[s.degree]
+        if out is not None:
+            doc.data["coefficients"] = list(s.poly.coeffs)
+        doc.finish()
+        _log(f"expand n={args.n} degree={s.degree} {doc.status}")
+        if out is not None:
+            out.write(report_to_json(doc) + "\n")
+        if csv is not None:
+            _write_csv(s.poly, csv)
     return _EXIT_CODES[doc.status]
 
 
@@ -510,18 +524,11 @@ def _open_json(json_dest: str | None):
     return _open_dest(json_dest, "\n")
 
 
-def _emit(doc: ReportDocument, json_dest: str | None) -> None:
-    with _open_json(json_dest) as fh:
-        if fh is not None:
-            fh.write(report_to_json(doc) + "\n")
-
-
-def _emit_csv(poly: IntPolynomial, csv_dest: str) -> None:
+def _write_csv(poly: IntPolynomial, fh: TextIO) -> None:
     """Coefficient dump: header exponent,coefficient, one row per exponent."""
-    with _open_dest(csv_dest, "") as fh:
-        fh.write("exponent,coefficient\n")
-        # the zero polynomial has no coefficients and dumps as one (0, 0) row
-        fh.writelines(map("{},{}\n".format, count(), poly.coeffs or (0,)))
+    fh.write("exponent,coefficient\n")
+    # the zero polynomial has no coefficients and dumps as one (0, 0) row
+    fh.writelines(map("{},{}\n".format, count(), poly.coeffs or (0,)))
 
 
 def _log(message: str) -> None:

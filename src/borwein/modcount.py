@@ -188,16 +188,10 @@ def _class_polynomial(N: int, d: int) -> IntPolynomial:
     # has order d/gcd(d, 3).
     if d % 3:
         base = [1] + [0] * (d - 1) + [-((-1) ** d)]
-        power = pow_trunc(IntPolynomial(base), 2 * N // (3 * d))
-    else:
-        e = d // 3
-        base = [1] + [0] * (e - 1) + [(-1) ** e] + [0] * (e - 1) + [1]
-        power = pow_trunc(IntPolynomial(base), N // d)
-    if power.degree != 2 * N // 3:
-        raise InexactDivisionError(
-            f"G_{d} for N={N} has degree {power.degree}, expected {2 * N // 3}"
-        )
-    return power
+        return pow_trunc(IntPolynomial(base), 2 * N // (3 * d))
+    e = d // 3
+    base = [1] + [0] * (e - 1) + [(-1) ** e] + [0] * (e - 1) + [1]
+    return pow_trunc(IntPolynomial(base), N // d)
 
 
 def character_class_polynomial(N: int, d: int) -> IntPolynomial:
@@ -205,8 +199,7 @@ def character_class_polynomial(N: int, d: int) -> IntPolynomial:
 
     The product depends only on the order d, not on the choice of χ, and
     its coefficients are plain integers. It is built without complex
-    numbers as one power of a sparse closed-form base; a degree other
-    than 2N/3 would mean the derivation is wrong, and raises.
+    numbers as one power of a sparse closed-form base, of degree 2N/3.
     """
     if N < 3 or N % 3:
         raise ValueError(f"N must be a positive multiple of 3, got {N}")
@@ -231,8 +224,8 @@ def _character_sum(
     return quotient
 
 
-def divisor_formula_eval(n: int, b: int, k: int | None = None) -> int:
-    """Closed-form M(k, b) (or signed M(b) when k is omitted).
+def divisor_formula_eval(n: int, b: int) -> int:
+    """Closed-form signed count M(b).
 
     M(k, b) = (1/N) Σ_{d|N} Φ_d(b)·[t^k] G_d(t); summing over k with
     alternating signs turns [t^k] G_d into G_d(-1). The division by N
@@ -241,11 +234,8 @@ def divisor_formula_eval(n: int, b: int, k: int | None = None) -> int:
     if n < 0:
         raise ValueError(f"divisor_formula_eval needs n >= 0, got {n}")
     N = 3 * (n + 1)
-    weights: dict[int, int] = {}
-    for d in divisors(N):
-        g = _class_polynomial(N, d)
-        weights[d] = eval_at(g, -1) if k is None else g[k]
-    return _character_sum(N, k, b, weights, lambda d: ramanujan_sum(d, b))
+    weights = {d: eval_at(_class_polynomial(N, d), -1) for d in divisors(N)}
+    return _character_sum(N, None, b, weights, lambda d: ramanujan_sum(d, b))
 
 
 def divisor_formula_table(n: int) -> SignedCountTable:

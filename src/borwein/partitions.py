@@ -2,10 +2,10 @@
 
 The n = ∞ analog of the Borwein product for a prime p is the eta
 quotient ∏_{p∤n} (1-q^n) with coefficients a_{p,j}. This module builds
-truncated prefixes of it as Euler's pentagonal series times the
-partition series in q^p, counts restricted partitions, implements the
-two-term partition formula for a_{p,pk} (Stanley's formula), and checks
-sign coherence of coefficient pairs at distance p.
+the prefix a_{p,0..J} as a plain tuple, from Euler's pentagonal series
+times the partition series in q^p; counts restricted partitions;
+implements the two-term partition formula for a_{p,pk} (Stanley's
+formula); and checks sign coherence of coefficient pairs at distance p.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .report import ReportDocument, Violation, new_report
 
 __all__ = [
     "RestrictedPartitionSpec",
-    "EtaQuotientPrefix",
     "pentagonal_series",
     "eta_quotient_coeffs",
     "restricted_partition_counts",
@@ -48,26 +47,6 @@ class RestrictedPartitionSpec:
 
     def allows(self, part: int) -> bool:
         return part >= 1 and (part % self.modulus) not in self.forbidden
-
-
-@dataclass(frozen=True)
-class EtaQuotientPrefix:
-    """Coefficients a_{p,0..J} of ∏_{n>=1, p∤n} (1-q^n), truncated at J."""
-
-    p: int
-    truncation: int
-    poly: IntPolynomial
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        """Exactly truncation+1 entries, trailing zeros included."""
-        cs = self.poly.coeffs
-        return cs + (0,) * (self.truncation + 1 - len(cs))
-
-    def coefficient(self, j: int) -> int:
-        if not 0 <= j <= self.truncation:
-            raise IndexError(f"exponent {j} outside truncated range 0..{self.truncation}")
-        return self.poly[j]
 
 
 def pentagonal_series(J: int) -> IntPolynomial:
@@ -104,8 +83,8 @@ def _partition_numbers(K: int) -> list[int]:
     return parts
 
 
-def eta_quotient_coeffs(p: int, J: int) -> EtaQuotientPrefix:
-    """Truncated expansion of ∏_{n<=J, p∤n} (1-q^n).
+def eta_quotient_coeffs(p: int, J: int) -> tuple[int, ...]:
+    """Coefficients a_{p,0..J} of ∏_{n<=J, p∤n} (1-q^n): J+1 entries.
 
     Through degree J this is (q;q)_∞ / (q^p;q^p)_∞: Euler's pentagonal
     series times Σ_k p(k) q^{pk}. Each of the O(√J) pentagonal terms
@@ -121,7 +100,7 @@ def eta_quotient_coeffs(p: int, J: int) -> EtaQuotientPrefix:
     for e, c in enumerate(pentagonal_series(J).coeffs):
         if c:
             out[e::p] = map(add if c > 0 else sub, out[e::p], parts)
-    return EtaQuotientPrefix(p=p, truncation=J, poly=IntPolynomial(out))
+    return tuple(out)
 
 
 def restricted_partition_counts(
@@ -203,7 +182,7 @@ def verify_stanley(p: int, K: int) -> ReportDocument:
         return value
 
     for k in range(K + 1):
-        lhs, expected = prefix.coefficient(p * k), rhs(k, delta)
+        lhs, expected = prefix[p * k], rhs(k, delta)
         if lhs != expected:
             doc.violations.append(
                 Violation(
@@ -221,7 +200,7 @@ def verify_stanley(p: int, K: int) -> ReportDocument:
         if printed_delta != delta:
             witness = None
             for k in range(K + 1):
-                lhs, expected = prefix.coefficient(p * k), rhs(k, printed_delta)
+                lhs, expected = prefix[p * k], rhs(k, printed_delta)
                 if lhs != expected:
                     witness = {"k": k, "lhs": lhs, "rhs": expected}
                     break
@@ -232,8 +211,7 @@ def verify_stanley(p: int, K: int) -> ReportDocument:
 def sign_coherence_check(p: int, J: int) -> ReportDocument:
     """Check a_{p,j}·a_{p,j+p} >= 0 for all 0 <= j <= J-p."""
     doc = new_report("coherence", {"p": p, "j_max": J})
-    prefix = eta_quotient_coeffs(p, J)
-    cs = prefix.coefficients
+    cs = eta_quotient_coeffs(p, J)
     for j in range(J - p + 1):
         if cs[j] * cs[j + p] < 0:
             doc.violations.append(

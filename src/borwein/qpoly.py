@@ -2,12 +2,14 @@
 
 The workhorse is repeated multiplication by sparse binomials (1 - q^m),
 which expands products like ∏ (1-q^{3j+1})(1-q^{3j+2}) in O(degree) per
-factor with plain Python ints as coefficients. Reference multiplication
-and powering are schoolbook; pow_trunc raises the sparse closed-form
-bases of the divisor-class polynomials G_d. The one divider, exact_div,
-divides by (1-q^k) as a running sum per residue class and raises on a
-remainder. Gaussian binomials use the same kernel: each step of the
-ratio recurrence over k is one sparse pass and one exact_div.
+factor with plain Python ints as coefficients. pow_trunc raises the
+sparse closed-form bases of the divisor-class polynomials G_d by binary
+powering over a schoolbook product; despite its name it never truncates.
+The one truncation is ProductSpec.truncation, which keeps a prefix of
+an expand_product result. The one divider, exact_div, divides by
+(1-q^k) as a running sum per residue class and raises on a remainder.
+Gaussian binomials use the same kernel: each step of the ratio
+recurrence over k is one sparse pass and one exact_div.
 Degrees reach a few million and coefficients a few thousand bits, so
 the hot loops stay on raw lists and C-level map()/slice operations.
 """
@@ -26,7 +28,6 @@ __all__ = [
     "IntPolynomial",
     "ProductSpec",
     "mul_sparse_factor",
-    "mul_trunc",
     "exact_div",
     "pow_trunc",
     "gaussian_binomial",
@@ -89,12 +90,6 @@ class IntPolynomial:
     def __hash__(self) -> int:
         return hash(self._coeffs)
 
-    def truncate(self, max_degree: int) -> "IntPolynomial":
-        """Drop all terms with exponent above max_degree."""
-        if max_degree < 0:
-            return IntPolynomial()
-        return IntPolynomial(self._coeffs[: max_degree + 1])
-
     def is_palindromic(self) -> bool:
         return self._coeffs == self._coeffs[::-1]
 
@@ -118,8 +113,6 @@ def _sparse_step(p: Sequence[int], m: int, bound: int | None) -> list[int]:
         if m >= n:
             return [*p, *repeat(0, m - n), *map(neg, p)]
         return [*p[:m], *map(sub, p[m:], p[: n - m]), *map(neg, p[n - m :])]
-    if bound <= m:
-        return [*p[:bound]]
     if m >= n:
         return [*p, *repeat(0, m - n), *map(neg, p[: bound - m])]
     if bound <= n:
@@ -127,72 +120,50 @@ def _sparse_step(p: Sequence[int], m: int, bound: int | None) -> list[int]:
     return [*p[:m], *map(sub, p[m:], p[: n - m]), *map(neg, p[n - m : bound - m])]
 
 
-def _mul_lists(p: list[int], q: list[int], bound: int | None) -> list[int]:
-    """Schoolbook product on raw lists, keeping exponents < bound."""
+def _mul_lists(p: Sequence[int], q: Sequence[int]) -> list[int]:
+    """Schoolbook product on raw coefficients."""
     if not p or not q:
         return []
-    full = len(p) + len(q) - 1
-    if bound is None or bound > full:
-        bound = full
     if len(p) > len(q):
         p, q = q, p
-    out = [0] * bound
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if i >= bound:
-            break
         if not a:
             continue
-        hi = min(len(q), bound - i)
-        seg = out[i : i + hi]
+        seg = out[i : i + len(q)]
         if a == 1:
-            out[i : i + hi] = list(map(add, seg, q[:hi]))
+            out[i : i + len(q)] = map(add, seg, q)
         elif a == -1:
-            out[i : i + hi] = list(map(sub, seg, q[:hi]))
+            out[i : i + len(q)] = map(sub, seg, q)
         else:
-            out[i : i + hi] = [x + a * y for x, y in zip(seg, q)]
+            out[i : i + len(q)] = [x + a * y for x, y in zip(seg, q)]
     return out
-
-
-def _pow_lists(p: list[int], e: int, bound: int | None) -> list[int]:
-    result = [1]
-    base = p[:]
-    while e:
-        if e & 1:
-            result = _mul_lists(result, base, bound)
-        e >>= 1
-        if e:
-            base = _mul_lists(base, base, bound)
-    return result
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def mul_sparse_factor(
-    P: IntPolynomial, m: int, trunc: int | None = None
-) -> IntPolynomial:
-    """P · (1 - q^m), optionally truncated to degree trunc."""
+def mul_sparse_factor(P: IntPolynomial, m: int) -> IntPolynomial:
+    """P · (1 - q^m)."""
     if m < 1:
         raise ValueError(f"sparse factor exponent must be >= 1, got {m}")
-    bound = None if trunc is None else trunc + 1
-    return IntPolynomial(_sparse_step(P.coeffs, m, bound))
+    return IntPolynomial(_sparse_step(P.coeffs, m, None))
 
 
-def mul_trunc(
-    P: IntPolynomial, Q: IntPolynomial, trunc: int | None = None
-) -> IntPolynomial:
-    """Exact product P·Q, optionally truncated to degree trunc."""
-    bound = None if trunc is None else trunc + 1
-    return IntPolynomial(_mul_lists(list(P.coeffs), list(Q.coeffs), bound))
-
-
-def pow_trunc(P: IntPolynomial, e: int, trunc: int | None = None) -> IntPolynomial:
-    """P^e by binary powering, optionally truncated to degree trunc."""
+def pow_trunc(P: IntPolynomial, e: int) -> IntPolynomial:
+    """P^e by binary powering with the schoolbook product."""
     if e < 0:
         raise ValueError(f"exponent must be >= 0, got {e}")
-    bound = None if trunc is None else trunc + 1
-    return IntPolynomial(_pow_lists(list(P.coeffs), e, bound))
+    result: Sequence[int] = [1]
+    base = P.coeffs
+    while e:
+        if e & 1:
+            result = _mul_lists(result, base)
+        e >>= 1
+        if e:
+            base = _mul_lists(base, base)
+    return IntPolynomial(result)
 
 
 def exact_div(P: IntPolynomial, k: int) -> IntPolynomial:

@@ -106,7 +106,7 @@ def test_criterion_5_partition_suite(capsys):
         t0 = time.perf_counter()
         product = IntPolynomial((1,))
         for m in range(1, 401):
-            product = mul_sparse_factor(product, m, trunc=400)
+            product = IntPolynomial(mul_sparse_factor(product, m).coeffs[:401])
         assert pentagonal_series(400) == product
         for p in (3, 5, 7, 11, 13):
             doc = verify_stanley(p, 100)
@@ -191,7 +191,7 @@ def test_criterion_8_expand_n1000(capsys):
         assert eval_at(s.poly, 1) == 0
         # independent prefix: ∏_{3∤m, m<=3002} (1-q^m) agrees through degree 3002
         eta = eta_quotient_coeffs(3, 3002)
-        assert s.poly.truncate(3002).coeffs == eta.poly.coeffs
+        assert s.poly.coeffs[:3003] == eta
         assert elapsed < 600, f"took {elapsed:.1f}s"
         peak_gib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2**20
         assert peak_gib < 4.0, f"peak RSS {peak_gib:.2f} GiB"

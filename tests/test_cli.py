@@ -134,7 +134,8 @@ def test_expand_csv_round_trip(tmp_path):
 
 def test_csv_dump_of_zero_polynomial_has_one_row(tmp_path):
     out = tmp_path / "zero.csv"
-    cli._emit_csv(IntPolynomial(()), str(out))
+    with open(out, "w", newline="") as fh:
+        cli._write_csv(IntPolynomial(()), fh)
     assert out.read_bytes() == b"exponent,coefficient\n0,0\n"
 
 
@@ -153,6 +154,37 @@ def test_expand_rejects_negative_n():
     with pytest.raises(SystemExit) as exc:
         run_cli("expand", "--n", "-3")
     assert exc.value.code == 2
+
+
+def test_expand_json_and_csv_must_differ(tmp_path):
+    dest = str(tmp_path / "both")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("expand", "--n", "2", "--json", dest, "--csv", dest)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--json", "--csv"])
+def test_expand_unwritable_destination_fails_before_expanding(
+    tmp_path, monkeypatch, capsys, flag
+):
+    calls: list[int] = []
+
+    def recorder(n: int):
+        calls.append(n)
+        raise AssertionError("expanded before the destination was opened")
+
+    monkeypatch.setattr(cli.series, "expand_borwein", recorder)
+    dest = tmp_path / "no-such-dir" / "out"
+    assert run_cli("expand", "--n", "3", flag, str(dest)) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("cannot write output: ")
+
+
+def test_expand_json_then_csv_on_stdout(capsys):
+    assert run_cli("expand", "--n", "0", "--json", "-", "--csv", "-") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert json.loads(out[0])["data"]["coefficients"] == [1, -1, -1, 1]
+    assert out[1:] == ["exponent,coefficient", "0,1", "1,-1", "2,-1", "3,1"]
 
 
 def test_missing_required_range_is_usage_error():

@@ -207,10 +207,9 @@ def test_divisor_formula_point_values():
     assert divisor_formula_eval(1, 0) == 4
     assert divisor_formula_eval(1, 3) == 2
     assert divisor_formula_eval(1, 1) == -1
-    assert divisor_formula_eval(1, 0, k=2) == 2
-    assert divisor_formula_eval(1, 3, k=2) == 2
-    assert divisor_formula_eval(1, 1, k=0) == 0
     assert divisor_formula_eval(0, 0) == 2
+    counts = divisor_formula_table(1).counts
+    assert (counts[2][0], counts[2][3], counts[0][1]) == (2, 2, 0)
 
 
 def test_character_sum_remainder_raises(monkeypatch, capsys):
@@ -240,11 +239,10 @@ def test_divisor_formula_table_matches_dp(dp_tables_upto_30):
 
 
 def test_divisor_formula_eval_matches_table():
-    t = divisor_formula_table(3)
-    for b in range(t.N):
-        assert divisor_formula_eval(3, b) == t.signed[b]
-        for k in (0, 1, 5, 8):
-            assert divisor_formula_eval(3, b, k=k) == t.counts[k][b]
+    for n in (0, 1, 3, 6):
+        t = divisor_formula_table(n)
+        for b in range(t.N):
+            assert divisor_formula_eval(n, b) == t.signed[b]
 
 
 def test_positivity_on_multiples_of_three(dp_tables_upto_30):

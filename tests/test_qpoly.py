@@ -24,13 +24,21 @@ from borwein import (
     expand_product,
     gaussian_binomial,
     mul_sparse_factor,
-    mul_trunc,
     pow_trunc,
 )
 
 small_polys = st.builds(
     IntPolynomial, st.lists(st.integers(-9, 9), min_size=0, max_size=12)
 )
+
+
+def schoolbook(P: IntPolynomial, Q: IntPolynomial) -> IntPolynomial:
+    """Reference product: every pair of terms, one at a time."""
+    out = [0] * (len(P) + len(Q))
+    for i, a in enumerate(P):
+        for j, b in enumerate(Q):
+            out[i + j] += a * b
+    return IntPolynomial(out)
 
 
 def test_zero_polynomial_representation():
@@ -43,9 +51,9 @@ def test_zero_polynomial_representation():
 def test_trailing_zeros_trimmed_everywhere():
     p = IntPolynomial([1, 2, 0, 0])
     assert p.coeffs == (1, 2)
-    # (1+q)(1-q) = 1 - q^2, kept through degree 1: the zero at q^1 goes
-    assert mul_sparse_factor(IntPolynomial([1, 1]), 1, trunc=1).coeffs == (1,)
-    assert mul_trunc(p, IntPolynomial()) == IntPolynomial()
+    # (1+q)(1-q) = 1 - q^2: the zero at q^1 stays, as it is not trailing
+    assert mul_sparse_factor(IntPolynomial([1, 1]), 1).coeffs == (1, 0, -1)
+    assert pow_trunc(IntPolynomial([0, 0]), 3).coeffs == ()
 
 
 def test_indexing_out_of_range_is_zero():
@@ -62,14 +70,15 @@ def test_mul_sparse_factor_examples():
     assert step.coeffs == (1, -1, -1, 1, -1, 1, 1, -1)
 
 
-def test_mul_trunc_examples():
+def test_schoolbook_reference_examples():
     one_plus = IntPolynomial([1, 1])
     one_minus = IntPolynomial([1, -1])
-    assert mul_trunc(one_plus, one_minus).coeffs == (1, 0, -1)
+    assert schoolbook(one_plus, one_minus).coeffs == (1, 0, -1)
     p = IntPolynomial([3, 0, 2, -1])
-    assert mul_trunc(p, IntPolynomial((1,))) == p
+    assert schoolbook(p, IntPolynomial((1,))) == p
+    assert schoolbook(p, IntPolynomial()) == IntPolynomial()
     g3 = IntPolynomial([1, -1, 1])
-    assert mul_trunc(g3, g3).coeffs == (1, -2, 3, -2, 1)
+    assert schoolbook(g3, g3).coeffs == (1, -2, 3, -2, 1)
 
 
 def test_exact_div_examples():
@@ -98,27 +107,26 @@ def test_pow_trunc_examples():
     assert pow_trunc(IntPolynomial([1, 1, 1]), 2).coeffs == (1, 2, 3, 2, 1)
 
 
-def test_truncation_consistency():
-    p = IntPolynomial([2, -1, 3])
-    q = IntPolynomial([1, 4, -2, 1])
-    full = mul_trunc(p, q)
-    for t in range(8):
-        assert mul_trunc(p, q, trunc=t) == full.truncate(t)
-    assert pow_trunc(q, 3, trunc=4) == pow_trunc(q, 3).truncate(4)
-
-
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(small_polys, st.integers(1, 8), st.integers(0, 20))
-def test_sparse_factor_matches_dense_multiply(p, m, trunc):
+@given(small_polys, st.integers(1, 8))
+def test_sparse_factor_matches_dense_multiply(p, m):
     factor = IntPolynomial([1] + [0] * (m - 1) + [-1])
-    assert mul_sparse_factor(p, m, trunc) == mul_trunc(p, factor, trunc)
-    assert mul_sparse_factor(p, m) == mul_trunc(p, factor)
+    assert mul_sparse_factor(p, m) == schoolbook(p, factor)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_polys, st.integers(0, 5))
+def test_pow_trunc_matches_repeated_schoolbook(p, e):
+    expected = IntPolynomial((1,))
+    for _ in range(e):
+        expected = schoolbook(expected, p)
+    assert pow_trunc(p, e) == expected
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_polys, small_polys, st.integers(-3, 3))
 def test_multiplication_commutes_with_evaluation(a, b, x):
-    assert eval_at(mul_trunc(a, b), x) == eval_at(a, x) * eval_at(b, x)
+    assert eval_at(schoolbook(a, b), x) == eval_at(a, x) * eval_at(b, x)
 
 
 def test_gaussian_binomial_examples():
@@ -241,20 +249,20 @@ def test_expand_product_truncated_matches_full():
         truncated = expand_product(
             ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=3, truncation=t)
         )
-        assert truncated == full.truncate(t)
+        assert truncated == IntPolynomial(full.coeffs[: t + 1])
 
 
 def test_expand_product_multiplicity_squares():
     base = ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=2)
     squared = ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=2, multiplicity=2)
     p = expand_product(base)
-    assert expand_product(squared) == mul_trunc(p, p)
+    assert expand_product(squared) == schoolbook(p, p)
 
 
 def test_eval_at_examples():
     assert eval_at(IntPolynomial([1, 0, -1]), 1) == 0
     assert eval_at(gaussian_binomial(4, 2), 1) == 6
-    g = mul_trunc(IntPolynomial([1, -1, 1]), IntPolynomial([1, -1, 1]))
+    g = schoolbook(IntPolynomial([1, -1, 1]), IntPolynomial([1, -1, 1]))
     assert eval_at(g, -1) == 9
     assert eval_at(IntPolynomial([1, 2, 3]), -2) == 1 - 4 + 12
 
@@ -269,7 +277,9 @@ def test_big_coefficients_stay_exact():
 def unmirrored(spec: ProductSpec) -> IntPolynomial:
     """Oracle: one full sparse pass per factor, never mirrored."""
     full = functools.reduce(mul_sparse_factor, spec.exponents(), IntPolynomial((1,)))
-    return full if spec.truncation is None else full.truncate(spec.truncation)
+    if spec.truncation is None:
+        return full
+    return IntPolynomial(full.coeffs[: spec.truncation + 1])
 
 
 @st.composite

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -87,7 +88,6 @@ def test_reference_points_match(monkeypatch, capsys):
 
 # Exports whose only callers are tests, each kept for the reason given.
 TEST_REFERENCES = {
-    "mul_trunc": "schoolbook product, the reference for the sparse kernel",
     "trinomial_coeff": "the independent reference row for G_d when 3 | d",
     "euler_phi": "the value every Ramanujan sum c_d(0) is checked against",
     "character_class_polynomial": "G_d with its validation, against reference rows",
@@ -123,6 +123,42 @@ def test_public_names_have_callers():
     public = set(borwein.__all__) - {"__version__"}
     assert sorted(public - used - set(TEST_REFERENCES)) == []
     assert sorted(set(TEST_REFERENCES) & used) == []
+
+
+MATH_MODULES = ("qpoly", "series", "modcount", "partitions", "exactmath")
+
+
+def test_optional_parameters_are_set_by_src():
+    """Every defaulted parameter of a public math function is passed in src.
+
+    A default that no call in src/borwein/ overrides, by keyword or by
+    position, is an option only tests use. Classes are not checked.
+    """
+    calls: dict[str, list[ast.Call]] = {}
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for layer in MATH_MODULES:
+        module = importlib.import_module(f"borwein.{layer}")
+        for attr in module.__all__:
+            fn = getattr(module, attr)
+            if inspect.isclass(fn) or not callable(fn):
+                continue
+            params = list(inspect.signature(fn).parameters.values())
+            for index, param in enumerate(params):
+                if param.default is inspect.Parameter.empty:
+                    continue
+                if not any(
+                    len(call.args) > index
+                    or any(kw.arg == param.name for kw in call.keywords)
+                    for call in calls.get(attr, [])
+                ):
+                    unset.append(f"{layer}.{attr}({param.name}=)")
+    assert unset == []
 
 
 def test_project_version_matches_tool_version():
