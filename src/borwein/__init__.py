@@ -24,7 +24,6 @@ from .exactmath import (
 )
 from .modcount import (
     CapacityError,
-    LiteralFormEvaluation,
     OracleMismatchError,
     SignedCountTable,
     character_class_polynomial,
@@ -100,10 +99,10 @@ __all__ = [
     "decompose_abc",
     "expand_borwein",
     "residue_partial_sums",
+    "sign_violations",
     "verify_partial_sums",
     # modcount
     "CapacityError",
-    "LiteralFormEvaluation",
     "OracleMismatchError",
     "SignedCountTable",
     "character_class_polynomial",
@@ -119,7 +118,6 @@ __all__ = [
     "pentagonal_series",
     "restricted_partition_counts",
     "sign_coherence_check",
-    "sign_violations",
     "verify_stanley",
     # reports
     "CrossCheck",

@@ -416,12 +416,21 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     command = args.subcommand
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
+    if (
+        args.manifest
+        and args.json not in (None, "-")
+        and os.path.realpath(args.manifest) == os.path.realpath(args.json)
+    ):
+        # saving the manifest would replace the report file being written
+        parser.error("--json and --manifest must name different files")
     if command in _SWEEPS:
         _, minimum, label, block_worker = _SWEEPS[command]
         points = _resolve_range(parser, args, minimum)
     else:
         _, flag, _, worker, primes = _PRIME_SWEEPS[command]
         bound = getattr(args, flag[2:].replace("-", "_"))
+        if bound < 0:
+            parser.error(f"{flag} must be >= 0")
         label = "p"
         points = [args.p] if args.p is not None else list(primes)
 

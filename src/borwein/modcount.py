@@ -18,10 +18,14 @@ Three independent evaluators are kept deliberately separate:
   M(k, b) = (1/N) Σ_{d|N} Φ_d(b) · [t^k] G_d(t) with the division by N
   exact over the integers.
 
-A fourth evaluator, literal_closed_form, reproduces a published closed
-form verbatim (main term 2·3^{N/3}/N plus a divisor correction). It
-disagrees with the oracles for small N, so it is report-only: its
-discrepancies are recorded as data and never gate anything.
+A fourth evaluator, literal_closed_form, returns the value of a
+published closed form taken verbatim (main term 2·3^{N/3}/N plus a
+divisor correction). It disagrees with the oracles for small N, so it
+is report-only: its discrepancies are recorded as data and never gate
+anything.
+
+Every evaluator only returns values; cross_validate does every
+comparison, and it alone raises OracleMismatchError.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
+from operator import add, sub
 from typing import Callable
 
 from .exactmath import binomial, divisors, generalized_binomial, ramanujan_sum
@@ -46,7 +50,6 @@ __all__ = [
     "character_class_polynomial",
     "divisor_formula_eval",
     "divisor_formula_table",
-    "LiteralFormEvaluation",
     "literal_closed_form",
     "cross_validate",
 ]
@@ -80,16 +83,12 @@ class SignedCountTable:
         return 3 * (self.n + 1)
 
 
-def _signed_from_counts(counts: list[list[int]], N: int) -> tuple[int, ...]:
-    signed = [0] * N
+def _table(n: int, counts: list[list[int]]) -> SignedCountTable:
+    """Freeze counts[k][b] = M(k, b) with its alternating row sum M(b)."""
+    signed = [0] * len(counts[0])
     for k, row in enumerate(counts):
-        if k & 1:
-            for b in range(N):
-                signed[b] -= row[b]
-        else:
-            for b in range(N):
-                signed[b] += row[b]
-    return tuple(signed)
+        signed = list(map(sub if k & 1 else add, signed, row))
+    return SignedCountTable(n=n, counts=tuple(map(tuple, counts)), signed=tuple(signed))
 
 
 def dp_signed_counts(n: int) -> SignedCountTable:
@@ -110,11 +109,7 @@ def dp_signed_counts(n: int) -> SignedCountTable:
             prev = counts[k - 1]
             rotated = prev[-a:] + prev[:-a]
             counts[k] = list(map(add, counts[k], rotated))
-    return SignedCountTable(
-        n=n,
-        counts=tuple(tuple(row) for row in counts),
-        signed=_signed_from_counts(counts, N),
-    )
+    return _table(n, counts)
 
 
 def _subset_sum_histogram(part: list[int], N: int) -> list[list[int]]:
@@ -173,27 +168,10 @@ def enumerate_signed_counts(n: int) -> SignedCountTable:
                 counts[k1 + k2] = list(
                     map(add, counts[k1 + k2], map(c.__mul__, rotated))
                 )
-    return SignedCountTable(
-        n=n,
-        counts=tuple(tuple(row) for row in counts),
-        signed=_signed_from_counts(counts, N),
-    )
+    return _table(n, counts)
 
 
 @lru_cache(maxsize=None)
-def _class_polynomial(N: int, d: int) -> IntPolynomial:
-    # In x = -t the χ-values over D give (1 - x^d)^(2N/(3d)) when 3 ∤ d,
-    # and (1 + x^{d/3} + x^{2d/3})^(N/d) when 3 | d: the full orbit
-    # (1 - x^d)^(N/d) less the 3Z_N part, whose restricted character
-    # has order d/gcd(d, 3).
-    if d % 3:
-        base = [1] + [0] * (d - 1) + [-((-1) ** d)]
-        return pow_trunc(IntPolynomial(base), 2 * N // (3 * d))
-    e = d // 3
-    base = [1] + [0] * (e - 1) + [(-1) ** e] + [0] * (e - 1) + [1]
-    return pow_trunc(IntPolynomial(base), N // d)
-
-
 def character_class_polynomial(N: int, d: int) -> IntPolynomial:
     """G_d(t) = ∏_{a in D} (1 + χ(a)·t) for any character χ of Z_N of order d.
 
@@ -205,7 +183,16 @@ def character_class_polynomial(N: int, d: int) -> IntPolynomial:
         raise ValueError(f"N must be a positive multiple of 3, got {N}")
     if d < 1 or N % d:
         raise ValueError(f"d must divide N = {N}, got {d}")
-    return _class_polynomial(N, d)
+    # In x = -t the χ-values over D give (1 - x^d)^(2N/(3d)) when 3 ∤ d,
+    # and (1 + x^{d/3} + x^{2d/3})^(N/d) when 3 | d: the full orbit
+    # (1 - x^d)^(N/d) less the 3Z_N part, whose restricted character
+    # has order d/gcd(d, 3).
+    if d % 3:
+        base = [1] + [0] * (d - 1) + [-((-1) ** d)]
+        return pow_trunc(IntPolynomial(base), 2 * N // (3 * d))
+    e = d // 3
+    base = [1] + [0] * (e - 1) + [(-1) ** e] + [0] * (e - 1) + [1]
+    return pow_trunc(IntPolynomial(base), N // d)
 
 
 def _character_sum(
@@ -234,14 +221,14 @@ def divisor_formula_eval(n: int, b: int) -> int:
     if n < 0:
         raise ValueError(f"divisor_formula_eval needs n >= 0, got {n}")
     N = 3 * (n + 1)
-    weights = {d: eval_at(_class_polynomial(N, d), -1) for d in divisors(N)}
+    weights = {d: eval_at(character_class_polynomial(N, d), -1) for d in divisors(N)}
     return _character_sum(N, None, b, weights, lambda d: ramanujan_sum(d, b))
 
 
 def divisor_formula_table(n: int) -> SignedCountTable:
     """Whole table via the divisor formula; same contract as the DP."""
     N = 3 * (n + 1)
-    class_polys = {d: _class_polynomial(N, d) for d in divisors(N)}
+    class_polys = {d: character_class_polynomial(N, d) for d in divisors(N)}
     phi = [{d: ramanujan_sum(d, b) for d in class_polys} for b in range(N)]
     counts: list[list[int]] = []
     for k in range(2 * N // 3 + 1):
@@ -249,37 +236,7 @@ def divisor_formula_table(n: int) -> SignedCountTable:
         counts.append(
             [_character_sum(N, k, b, weights, phi[b].__getitem__) for b in range(N)]
         )
-    return SignedCountTable(
-        n=n,
-        counts=tuple(tuple(row) for row in counts),
-        signed=_signed_from_counts(counts, N),
-    )
-
-
-@dataclass(frozen=True)
-class LiteralFormEvaluation:
-    """Result of the report-only literal closed form at (n, b).
-
-    value = main_term + correction, all exact rationals; oracle is the
-    DP's M(b) and discrepancy = value - oracle. Conventions applied
-    (the printed form leaves them open): the inner sum runs over
-    multiples k of d in [0, 2N/3], and binomials with fractional top
-    argument 2N/(3d) + k/d - 1 use the generalized (rational) binomial.
-    """
-
-    n: int
-    b: int
-    main_term: Fraction
-    correction: Fraction
-    oracle: int
-
-    @property
-    def value(self) -> Fraction:
-        return self.main_term + self.correction
-
-    @property
-    def discrepancy(self) -> Fraction:
-        return self.value - self.oracle
+    return _table(n, counts)
 
 
 @lru_cache(maxsize=None)
@@ -295,29 +252,27 @@ def _literal_inner_sum(N: int, d: int) -> Fraction:
     return inner
 
 
-def literal_closed_form(n: int, b: int) -> LiteralFormEvaluation:
-    """Evaluate the literal closed form 2·3^{N/3}/N + (1/N)·Σ_{d|N, d∉{1,3}} ...
+def literal_closed_form(n: int, b: int) -> Fraction:
+    """The literal closed form 2·3^{N/3}/N + (1/N)·Σ_{d|N, d∉{1,3}} ..., exactly.
 
-    Report-only comparator: kept verbatim even though it disagrees with
-    the exact evaluators for small N (e.g. n=1, b=0 gives 13/3 against
-    the true 4). Requires 3 | b, matching the claim it annotates.
+    Report-only: kept verbatim even though it disagrees with the exact
+    evaluators for small N (e.g. n=1, b=0 gives 13/3 against the true
+    4). Requires 3 | b, matching the claim it annotates. Conventions
+    applied (the printed form leaves them open): the inner sum runs over
+    multiples k of d in [0, 2N/3], and binomials with fractional top
+    argument 2N/(3d) + k/d - 1 use the generalized (rational) binomial.
     """
     if n < 0:
         raise ValueError(f"literal_closed_form needs n >= 0, got {n}")
     if b % 3:
         raise ValueError(f"literal_closed_form is stated for 3 | b, got b={b}")
     N = 3 * (n + 1)
-    main = Fraction(2 * 3 ** (N // 3), N)
     correction = Fraction(0)
     for d in divisors(N):
         if d in (1, 3):
             continue
         correction += Fraction(ramanujan_sum(d, b)) * _literal_inner_sum(N, d)
-    correction /= N
-    oracle = divisor_formula_eval(n, b)
-    return LiteralFormEvaluation(
-        n=n, b=b, main_term=main, correction=correction, oracle=oracle
-    )
+    return Fraction(2 * 3 ** (N // 3), N) + correction / N
 
 
 def _table_shape(t: SignedCountTable) -> str:
@@ -325,21 +280,19 @@ def _table_shape(t: SignedCountTable) -> str:
     return f"{len(t.counts)} rows of length {'/'.join(map(str, lengths))}"
 
 
-def _compare_tables(
-    name_a: str, a: SignedCountTable, name_b: str, b: SignedCountTable
-) -> None:
-    N = a.N
-    if [len(row) for row in a.counts] != [len(row) for row in b.counts]:
+def _compare_tables(dp: SignedCountTable, name: str, table: SignedCountTable) -> None:
+    N = dp.N
+    if [len(row) for row in dp.counts] != [len(row) for row in table.counts]:
         raise OracleMismatchError(
-            f"{name_a} vs {name_b} differ in shape at N={N}: "
-            f"{_table_shape(a)} != {_table_shape(b)}"
+            f"dp vs {name} differ in shape at N={N}: "
+            f"{_table_shape(dp)} != {_table_shape(table)}"
         )
-    for k, (row_a, row_b) in enumerate(zip(a.counts, b.counts)):
-        if row_a != row_b:
-            bad = next(i for i in range(N) if row_a[i] != row_b[i])
+    for k, (dp_row, row) in enumerate(zip(dp.counts, table.counts)):
+        if dp_row != row:
+            bad = next(i for i in range(N) if dp_row[i] != row[i])
             raise OracleMismatchError(
-                f"{name_a} vs {name_b} disagree at (N={N}, k={k}, b={bad}): "
-                f"{row_a[bad]} != {row_b[bad]}"
+                f"dp vs {name} disagree at (N={N}, k={k}, b={bad}): "
+                f"{dp_row[bad]} != {row[bad]}"
             )
 
 
@@ -348,34 +301,24 @@ def cross_validate(n: int) -> ReportDocument:
 
     Exact-equality checks (any failure raises OracleMismatchError):
     DP table == divisor-formula table, DP == enumeration while within
-    capacity, and the signed vector == the residue partial sums of the
-    Borwein product. The claim M(b) > 0 for 3 | b goes to violations;
-    literal-closed-form discrepancies go to data.
+    capacity, the signed vector == the residue partial sums of the
+    Borwein product, and M(b) == divisor_formula_eval(n, b) for 3 | b.
+    The claim M(b) > 0 for 3 | b goes to violations; literal-closed-form
+    discrepancies against divisor_formula_eval go to data.
     """
     doc = new_report("modcount", {"n": n})
     N = 3 * (n + 1)
     dp = dp_signed_counts(n)
-    divisor = divisor_formula_table(n)
-    _compare_tables("dp", dp, "divisor-formula", divisor)
-    doc.cross_checks.append(
-        CrossCheck(
-            name="dp_vs_divisor_formula",
-            expected=str(list(dp.signed)),
-            actual=str(list(divisor.signed)),
-        )
-    )
+    tables = [("dp_vs_divisor_formula", "divisor-formula", divisor_formula_table(n))]
     if 2 * N // 3 <= ENUMERATION_CAPACITY:
-        listed = enumerate_signed_counts(n)
-        _compare_tables("dp", dp, "enumeration", listed)
-        doc.cross_checks.append(
-            CrossCheck(
-                name="dp_vs_enumeration",
-                expected=str(list(dp.signed)),
-                actual=str(list(listed.signed)),
-            )
-        )
+        tables.append(("dp_vs_enumeration", "enumeration", enumerate_signed_counts(n)))
     else:
         doc.data["enumeration"] = "skipped (over capacity)"
+    for check, name, table in tables:
+        _compare_tables(dp, name, table)
+        doc.cross_checks.append(
+            CrossCheck(check, str(list(dp.signed)), str(list(table.signed)))
+        )
     sums = residue_partial_sums(expand_borwein(n))
     if sums != dp.signed:
         bad = next(i for i in range(N) if sums[i] != dp.signed[i])
@@ -384,13 +327,16 @@ def cross_validate(n: int) -> ReportDocument:
             f"{sums[bad]} != {dp.signed[bad]}"
         )
     doc.cross_checks.append(
-        CrossCheck(
-            name="signed_vs_partial_sums",
-            expected=str(list(dp.signed)),
-            actual=str(list(sums)),
-        )
+        CrossCheck("signed_vs_partial_sums", str(list(dp.signed)), str(list(sums)))
     )
+    literal_form = []
     for b in range(0, N, 3):
+        oracle = divisor_formula_eval(n, b)
+        if oracle != dp.signed[b]:
+            raise OracleMismatchError(
+                f"divisor-formula eval vs dp signed disagree at (N={N}, b={b}): "
+                f"{oracle} != {dp.signed[b]}"
+            )
         if dp.signed[b] <= 0:
             doc.violations.append(
                 Violation(
@@ -400,15 +346,15 @@ def cross_validate(n: int) -> ReportDocument:
                     expected=">0",
                 )
             )
+        value = literal_closed_form(n, b)
+        literal_form.append(
+            {
+                "b": b,
+                "value": str(value),
+                "oracle": oracle,
+                "discrepancy": str(value - oracle),
+            }
+        )
     doc.data["signed"] = list(dp.signed)
-    doc.data["literal_form"] = [
-        {
-            "b": b,
-            "value": str(ev.value),
-            "oracle": ev.oracle,
-            "discrepancy": str(ev.discrepancy),
-        }
-        for b in range(0, N, 3)
-        for ev in (literal_closed_form(n, b),)
-    ]
+    doc.data["literal_form"] = literal_form
     return doc.finish()

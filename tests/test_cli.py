@@ -225,6 +225,46 @@ def test_fresh_without_manifest_is_usage_error():
     assert exc.value.code == 2
 
 
+def test_manifest_naming_the_json_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    # saving the manifest would replace the report file being written
+    calls: list[int] = []
+
+    def recorder(points):
+        calls.extend(points)
+        return iter(())
+
+    monkeypatch.setitem(cli._SWEEPS, "verify", cli._SWEEPS["verify"][:3] + (recorder,))
+    monkeypatch.chdir(tmp_path)
+    for json_dest in ("out.json", str(tmp_path / "out.json"), "./sub/../out.json"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "--n-max", "3", "--json", json_dest, "--manifest", "out.json")
+        assert exc.value.code == 2
+        assert "--json and --manifest must name different files" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_manifest_beside_json_on_stdout(tmp_path, monkeypatch, capsys):
+    # `--json -` is stdout, never the file named "-"
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("verify", "--n", "1", "--json", "-", "--manifest", "-") == 0
+    assert json.loads(capsys.readouterr().out)["params"] == {"n": "1"}
+    assert json.loads((tmp_path / "-").read_text())["completed"] == {"1": "pass"}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("stanley", "--k-max"), ("coherence", "--j-max")]
+)
+def test_negative_prime_sweep_bound_is_usage_error(command, flag, capsys):
+    for argv in ([flag, "-1"], ["--p", "5", flag, "-2"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be >= 0" in err
+        assert "truncation" not in err
+
+
 def test_unwritable_json_destination(tmp_path):
     dest = tmp_path / "no-such-dir" / "out.ndjson"
     assert run_cli("verify", "--n", "1", "--json", str(dest)) == 2

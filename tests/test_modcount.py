@@ -252,19 +252,10 @@ def test_positivity_on_multiples_of_three(dp_tables_upto_30):
 
 
 def test_literal_form_known_discrepancies():
-    ev = literal_closed_form(1, 0)
-    assert ev.value == Fraction(13, 3)
-    assert ev.oracle == 4
-    assert ev.discrepancy == Fraction(1, 3)
-    ev3 = literal_closed_form(1, 3)
-    assert ev3.value == Fraction(5, 3)
-    assert ev3.oracle == 2
-    assert ev3.discrepancy == Fraction(-1, 3)
-
-
-def test_literal_form_main_term():
-    assert literal_closed_form(1, 0).main_term == Fraction(2 * 3**2, 6)
-    assert literal_closed_form(2, 0).main_term == Fraction(2 * 3**3, 9)
+    # the oracle values 4 and 2 and the discrepancies 1/3 and -1/3 are
+    # checked in test_cross_validate_records_literal_form
+    assert literal_closed_form(1, 0) == Fraction(13, 3)
+    assert literal_closed_form(1, 3) == Fraction(5, 3)
 
 
 def test_literal_form_validation():
@@ -275,13 +266,10 @@ def test_literal_form_validation():
 
 
 def test_literal_form_more_frozen_points():
-    # exact at n = 0, drifts afterwards; all report-only
-    ev0 = literal_closed_form(0, 0)
-    assert ev0.value == 2 and ev0.discrepancy == 0
-    ev2 = literal_closed_form(2, 0)
-    assert ev2.value == Fraction(20, 3)
-    assert ev2.oracle == 8
-    assert ev2.discrepancy == Fraction(-4, 3)
+    # exact at n = 0, drifts afterwards; all report-only (the oracle
+    # values are checked in test_cross_validate_records_literal_form)
+    assert literal_closed_form(0, 0) == 2
+    assert literal_closed_form(2, 0) == Fraction(20, 3)
 
 
 def test_cross_validate_passes():
@@ -324,6 +312,22 @@ def test_cross_validate_rejects_enumeration_of_wrong_shape(
         cross_validate(3)
 
 
+def test_cross_validate_checks_divisor_formula_eval(monkeypatch, capsys):
+    # the G_d(-1) route is an evaluator of its own, so an off-by-one
+    # there is an oracle mismatch, not just a shifted literal-form oracle
+    exact = modcount.divisor_formula_eval
+    monkeypatch.setattr(
+        modcount, "divisor_formula_eval", lambda n, b: exact(n, b) + 1
+    )
+    with pytest.raises(
+        OracleMismatchError,
+        match=r"^divisor-formula eval vs dp signed disagree at \(N=6, b=0\): 5 != 4$",
+    ):
+        cross_validate(1)
+    assert cli.run(["modcount", "--n", "1"]) == 3
+    assert "divisor-formula eval vs dp signed" in capsys.readouterr().err
+
+
 def test_cross_validate_skips_enumeration_when_large():
     doc = cross_validate(12)
     assert doc.status == "pass"
@@ -341,3 +345,12 @@ def test_cross_validate_records_literal_form():
         "discrepancy": "1/3",
     }
     assert rows[1]["b"] == 3 and rows[1]["discrepancy"] == "-1/3"
+    assert cross_validate(0).data["literal_form"] == [
+        {"b": 0, "value": "2", "oracle": 2, "discrepancy": "0"}
+    ]
+    assert cross_validate(2).data["literal_form"][0] == {
+        "b": 0,
+        "value": "20/3",
+        "oracle": 8,
+        "discrepancy": "-4/3",
+    }

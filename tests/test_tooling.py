@@ -6,6 +6,8 @@ import ast
 import importlib
 import inspect
 import json
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -90,7 +92,6 @@ def test_reference_points_match(monkeypatch, capsys):
 TEST_REFERENCES = {
     "trinomial_coeff": "the independent reference row for G_d when 3 | d",
     "euler_phi": "the value every Ramanujan sum c_d(0) is checked against",
-    "character_class_polynomial": "G_d with its validation, against reference rows",
 }
 
 
@@ -167,3 +168,27 @@ def test_project_version_matches_tool_version():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["version"] == borwein.TOOL_VERSION
+
+
+def test_readme_examples_run():
+    """README's Library block executes, and its command lines parse.
+
+    Every line of a README code block that starts with `borwein ` must be
+    accepted by the CLI's parser (comments after `#` dropped), so a
+    renamed subcommand or option fails here rather than in a reader's
+    shell. The commands are parsed, not run: one expands n = 1000.
+    """
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("## Library") :]
+    block = re.search(r"```python\n(.*?)```", library, re.S)
+    assert block is not None
+    exec(compile(block.group(1), "README.md (Library)", "exec"), {})
+    commands = [
+        line.split("#")[0]
+        for block in re.findall(r"```\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("borwein ")
+    ]
+    assert len(commands) >= 9
+    for line in commands:
+        cli._build_parser().parse_args(shlex.split(line)[1:])
