@@ -62,6 +62,7 @@ from .series import (
     check_sign_pattern,
     decompose_abc,
     expand_borwein,
+    partial_sum_violations,
     residue_partial_sums,
     sign_violations,
     verify_partial_sums,
@@ -98,6 +99,7 @@ __all__ = [
     "check_sign_pattern",
     "decompose_abc",
     "expand_borwein",
+    "partial_sum_violations",
     "residue_partial_sums",
     "sign_violations",
     "verify_partial_sums",

@@ -416,11 +416,7 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     command = args.subcommand
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if (
-        args.manifest
-        and args.json not in (None, "-")
-        and os.path.realpath(args.manifest) == os.path.realpath(args.json)
-    ):
+    if _same_file(args.json, args.manifest):
         # saving the manifest would replace the report file being written
         parser.error("--json and --manifest must name different files")
     if command in _SWEEPS:
@@ -495,7 +491,7 @@ def _expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """
     if args.n < 0:
         parser.error("--n must be >= 0")
-    if args.csv is not None and args.csv != "-" and args.csv == args.json:
+    if _same_file(args.json, args.csv):
         # two handles on one file would interleave the report and the dump
         parser.error("--json and --csv must name different files")
     with contextlib.ExitStack() as stack:
@@ -517,6 +513,13 @@ def _expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if csv is not None:
             _write_csv(s.poly, csv)
     return _EXIT_CODES[doc.status]
+
+
+def _same_file(dest: str | None, other: str | None) -> bool:
+    """Whether two destinations name one file; None and "-" (stdout) never do."""
+    if dest in (None, "-") or other in (None, "-"):
+        return False
+    return os.path.realpath(dest) == os.path.realpath(other)
 
 
 def _open_dest(dest: str, newline: str):

@@ -14,32 +14,32 @@ Three independent evaluators are kept deliberately separate:
 * an exact divisor-grouped closed form: characters of Z_N of a fixed
   order d all produce the same elementary-symmetric generating
   polynomial G_d(t), a power of a sparse closed-form base, and the
-  character sum collapses to Ramanujan sums, so
-  M(k, b) = (1/N) Σ_{d|N} Φ_d(b) · [t^k] G_d(t) with the division by N
-  exact over the integers.
+  character sum collapses to Ramanujan sums c_d, so row k of the table
+  is (1/N) Σ_{d|N} [t^k] G_d(t) · (c_d(0), ..., c_d(N-1)), a sum of one
+  Ramanujan row per divisor, with the division by N exact.
 
 A fourth evaluator, literal_closed_form, returns the value of a
 published closed form taken verbatim (main term 2·3^{N/3}/N plus a
 divisor correction). It disagrees with the oracles for small N, so it
-is report-only: its discrepancies are recorded as data and never gate
-anything.
+is report-only: its discrepancies are recorded as data.
 
-Every evaluator only returns values; cross_validate does every
-comparison, and it alone raises OracleMismatchError.
+Every evaluator only returns values. cross_validate makes every
+comparison, on one path (_first_difference), and alone raises
+OracleMismatchError; the claim itself is series.partial_sum_violations.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
-from typing import Callable
+from operator import add, ne, sub
 
 from .exactmath import binomial, divisors, generalized_binomial, ramanujan_sum
 from .qpoly import IntPolynomial, InexactDivisionError, eval_at, pow_trunc
-from .report import CrossCheck, ReportDocument, Violation, new_report
-from .series import expand_borwein, residue_partial_sums
+from .report import CrossCheck, ReportDocument, new_report
+from .series import expand_borwein, partial_sum_violations, residue_partial_sums
 
 __all__ = [
     "CapacityError",
@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 ENUMERATION_CAPACITY = 24
+_Rows = Sequence[Sequence[int]]
 
 
 class CapacityError(ValueError):
@@ -195,14 +196,8 @@ def character_class_polynomial(N: int, d: int) -> IntPolynomial:
     return pow_trunc(IntPolynomial(base), N // d)
 
 
-def _character_sum(
-    N: int, k: int | None, b: int, weights: dict[int, int], phi: Callable[[int], int]
-) -> int:
-    """(1/N)·Σ_{d|N} Φ_d(b)·w_d, with phi(d) = Φ_d(b) asked only where w_d ≠ 0.
-
-    The division by N must be exact; a remainder raises.
-    """
-    total = sum(phi(d) * w for d, w in weights.items() if w)
+def _over_N(N: int, k: int | None, b: int, total: int) -> int:
+    """The character sum at (k, b) divided by N; a remainder raises."""
     quotient, remainder = divmod(total, N)
     if remainder:
         raise InexactDivisionError(
@@ -214,28 +209,37 @@ def _character_sum(
 def divisor_formula_eval(n: int, b: int) -> int:
     """Closed-form signed count M(b).
 
-    M(k, b) = (1/N) Σ_{d|N} Φ_d(b)·[t^k] G_d(t); summing over k with
-    alternating signs turns [t^k] G_d into G_d(-1). The division by N
-    must be exact; a remainder raises.
+    M(k, b) = (1/N) Σ_{d|N} c_d(b)·[t^k] G_d(t), with c_d the Ramanujan
+    sum; summing over k with alternating signs turns [t^k] G_d into
+    G_d(-1), and c_d(b) is asked for only where G_d(-1) ≠ 0. The
+    division by N must be exact; a remainder raises.
     """
     if n < 0:
         raise ValueError(f"divisor_formula_eval needs n >= 0, got {n}")
     N = 3 * (n + 1)
     weights = {d: eval_at(character_class_polynomial(N, d), -1) for d in divisors(N)}
-    return _character_sum(N, None, b, weights, lambda d: ramanujan_sum(d, b))
+    total = sum(ramanujan_sum(d, b) * w for d, w in weights.items() if w)
+    return _over_N(N, None, b, total)
 
 
 def divisor_formula_table(n: int) -> SignedCountTable:
-    """Whole table via the divisor formula; same contract as the DP."""
+    """Whole table via the divisor formula; same contract as the DP.
+
+    Row k is (1/N)·Σ_{d|N} [t^k] G_d · (c_d(0), ..., c_d(N-1)): a sum of
+    Ramanujan rows, one per divisor, with every entry divided exactly.
+    """
     N = 3 * (n + 1)
-    class_polys = {d: character_class_polynomial(N, d) for d in divisors(N)}
-    phi = [{d: ramanujan_sum(d, b) for d in class_polys} for b in range(N)]
+    rows = [
+        (character_class_polynomial(N, d), [ramanujan_sum(d, b) for b in range(N)])
+        for d in divisors(N)
+    ]
     counts: list[list[int]] = []
     for k in range(2 * N // 3 + 1):
-        weights = {d: g[k] for d, g in class_polys.items()}
-        counts.append(
-            [_character_sum(N, k, b, weights, phi[b].__getitem__) for b in range(N)]
-        )
+        totals = [0] * N
+        for g, ramanujan_row in rows:
+            if g[k]:
+                totals = list(map(add, totals, map(g[k].__mul__, ramanujan_row)))
+        counts.append([_over_N(N, k, b, total) for b, total in enumerate(totals)])
     return _table(n, counts)
 
 
@@ -280,19 +284,21 @@ def _table_shape(t: SignedCountTable) -> str:
     return f"{len(t.counts)} rows of length {'/'.join(map(str, lengths))}"
 
 
-def _compare_tables(dp: SignedCountTable, name: str, table: SignedCountTable) -> None:
-    N = dp.N
-    if [len(row) for row in dp.counts] != [len(row) for row in table.counts]:
-        raise OracleMismatchError(
-            f"dp vs {name} differ in shape at N={N}: "
-            f"{_table_shape(dp)} != {_table_shape(table)}"
-        )
-    for k, (dp_row, row) in enumerate(zip(dp.counts, table.counts)):
-        if dp_row != row:
-            bad = next(i for i in range(N) if dp_row[i] != row[i])
+def _first_difference(
+    what: str, N: int, left: _Rows, right: _Rows, residues: range
+) -> None:
+    """Raise OracleMismatchError at the first entry where two tables differ.
+
+    Entry i of row k sits at residue residues[i]. A signed vector is a
+    table of one row, and its location names b alone.
+    """
+    for k, rows in enumerate(zip(left, right)):
+        diff = list(map(ne, *rows))
+        if True in diff:
+            i = diff.index(True)
+            where = f"k={k}, b={residues[i]}" if len(left) > 1 else f"b={residues[i]}"
             raise OracleMismatchError(
-                f"dp vs {name} disagree at (N={N}, k={k}, b={bad}): "
-                f"{dp_row[bad]} != {row[bad]}"
+                f"{what} disagree at (N={N}, {where}): {rows[0][i]} != {rows[1][i]}"
             )
 
 
@@ -315,46 +321,30 @@ def cross_validate(n: int) -> ReportDocument:
     else:
         doc.data["enumeration"] = "skipped (over capacity)"
     for check, name, table in tables:
-        _compare_tables(dp, name, table)
+        if [len(row) for row in dp.counts] != [len(row) for row in table.counts]:
+            raise OracleMismatchError(
+                f"dp vs {name} differ in shape at N={N}: "
+                f"{_table_shape(dp)} != {_table_shape(table)}"
+            )
+        _first_difference(f"dp vs {name}", N, dp.counts, table.counts, range(N))
         doc.cross_checks.append(
             CrossCheck(check, str(list(dp.signed)), str(list(table.signed)))
         )
     sums = residue_partial_sums(expand_borwein(n))
-    if sums != dp.signed:
-        bad = next(i for i in range(N) if sums[i] != dp.signed[i])
-        raise OracleMismatchError(
-            f"partial sums vs dp signed disagree at (N={N}, b={bad}): "
-            f"{sums[bad]} != {dp.signed[bad]}"
-        )
+    _first_difference("partial sums vs dp signed", N, [sums], [dp.signed], range(N))
     doc.cross_checks.append(
         CrossCheck("signed_vs_partial_sums", str(list(dp.signed)), str(list(sums)))
     )
-    literal_form = []
-    for b in range(0, N, 3):
-        oracle = divisor_formula_eval(n, b)
-        if oracle != dp.signed[b]:
-            raise OracleMismatchError(
-                f"divisor-formula eval vs dp signed disagree at (N={N}, b={b}): "
-                f"{oracle} != {dp.signed[b]}"
-            )
-        if dp.signed[b] <= 0:
-            doc.violations.append(
-                Violation(
-                    kind="nonpositive-signed-count",
-                    location={"n": n, "residue": b},
-                    value=dp.signed[b],
-                    expected=">0",
-                )
-            )
-        value = literal_closed_form(n, b)
-        literal_form.append(
-            {
-                "b": b,
-                "value": str(value),
-                "oracle": oracle,
-                "discrepancy": str(value - oracle),
-            }
-        )
+    residues = range(0, N, 3)
+    oracles = [divisor_formula_eval(n, b) for b in residues]
+    _first_difference(
+        "divisor-formula eval vs dp signed", N, [oracles], [dp.signed[::3]], residues
+    )
+    doc.violations = partial_sum_violations(dp.signed, n, "nonpositive-signed-count")
+    values = [literal_closed_form(n, b) for b in residues]
     doc.data["signed"] = list(dp.signed)
-    doc.data["literal_form"] = literal_form
+    doc.data["literal_form"] = [
+        {"b": b, "value": str(v), "oracle": m, "discrepancy": str(v - m)}
+        for b, v, m in zip(residues, values, oracles)
+    ]
     return doc.finish()

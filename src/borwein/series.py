@@ -5,10 +5,13 @@ A(q³) - q·B(q³) - q²·C(q³), checks the conjectured sign pattern
 (a_j ≥ 0 when 3|j, a_j ≤ 0 otherwise), evaluates the alternating
 Gaussian-binomial form of A, and accumulates the residue-class partial
 sums whose strict positivity at b ≡ 0 (mod 3) is the claim under test.
+partial_sum_violations states that claim once, for both routes to the
+sums: the folded expansion here and the signed counts of modcount.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .qpoly import IntPolynomial, ProductSpec, expand_product, gaussian_binomial
@@ -23,6 +26,7 @@ __all__ = [
     "sign_violations",
     "a_via_qbinomial",
     "residue_partial_sums",
+    "partial_sum_violations",
     "verify_partial_sums",
 ]
 
@@ -151,6 +155,21 @@ def residue_partial_sums(s: BorweinSeries) -> tuple[int, ...]:
     return tuple(sums)
 
 
+def partial_sum_violations(sums: Sequence[int], n: int, kind: str) -> list[Violation]:
+    """The paper's claim on sums[b], b mod N: every entry at 3 | b is > 0.
+
+    One violation of the given kind per failing entry, in ascending
+    residue order; entries at 3 ∤ b are never flagged.
+    """
+    return [
+        Violation(
+            kind=kind, location={"n": n, "residue": b}, value=sums[b], expected=">0"
+        )
+        for b in range(0, len(sums), 3)
+        if sums[b] <= 0
+    ]
+
+
 def verify_partial_sums(n: int) -> ReportDocument:
     """Check strict positivity of the partial sums at residues b with 3 | b.
 
@@ -159,18 +178,8 @@ def verify_partial_sums(n: int) -> ReportDocument:
     observed to be negative but that is recorded, not asserted.
     """
     doc = new_report("partial-sums", {"n": n})
-    series = expand_borwein(n)
-    sums = residue_partial_sums(series)
-    for b in range(0, len(sums), 3):
-        if sums[b] <= 0:
-            doc.violations.append(
-                Violation(
-                    kind="nonpositive-partial-sum",
-                    location={"n": n, "residue": b},
-                    value=sums[b],
-                    expected=">0",
-                )
-            )
+    sums = residue_partial_sums(expand_borwein(n))
+    doc.violations = partial_sum_violations(sums, n, "nonpositive-partial-sum")
     doc.data["partial_sums"] = list(sums)
     doc.data["negative_elsewhere"] = all(
         sums[b] < 0 for b in range(len(sums)) if b % 3

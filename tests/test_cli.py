@@ -53,6 +53,29 @@ def test_partial_sums_subcommand(tmp_path):
     assert doc["data"]["negative_elsewhere"] is True
 
 
+def test_partial_sums_reports_a_nonpositive_sum(tmp_path, monkeypatch):
+    # the claim's failure path: a zero partial sum at b = 3 fails the point
+    exact = cli.series.residue_partial_sums
+    monkeypatch.setattr(
+        cli.series,
+        "residue_partial_sums",
+        lambda s: exact(s)[:3] + (0,) + exact(s)[4:],
+    )
+    out = tmp_path / "ps.ndjson"
+    assert run_cli("partial-sums", "--n", "1", "--json", str(out)) == 1
+    (doc,) = read_ndjson(out)
+    assert doc["status"] == "fail"
+    assert doc["violations"] == [
+        {
+            "kind": "nonpositive-partial-sum",
+            "location": {"n": 1, "residue": 3},
+            "value": 0,
+            "expected": ">0",
+        }
+    ]
+    assert doc["data"]["partial_sums"] == [4, -1, -2, 0, -2, -1]
+
+
 def test_modcount_subcommand(tmp_path):
     out = tmp_path / "mc.ndjson"
     assert run_cli("modcount", "--n", "1", "--json", str(out)) == 0
@@ -156,11 +179,16 @@ def test_expand_rejects_negative_n():
     assert exc.value.code == 2
 
 
-def test_expand_json_and_csv_must_differ(tmp_path):
-    dest = str(tmp_path / "both")
-    with pytest.raises(SystemExit) as exc:
-        run_cli("expand", "--n", "2", "--json", dest, "--csv", dest)
-    assert exc.value.code == 2
+def test_expand_json_and_csv_must_differ(tmp_path, monkeypatch, capsys):
+    # the paths are compared as files, not as strings: ./same.txt is same.txt
+    monkeypatch.chdir(tmp_path)
+    both = str(tmp_path / "both")
+    for json_dest, csv_dest in [(both, both), ("./same.txt", "same.txt")]:
+        with pytest.raises(SystemExit) as exc:
+            run_cli("expand", "--n", "2", "--json", json_dest, "--csv", csv_dest)
+        assert exc.value.code == 2
+        assert "--json and --csv must name different files" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", ["--json", "--csv"])

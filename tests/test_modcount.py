@@ -17,6 +17,7 @@ from borwein import (
     InexactDivisionError,
     OracleMismatchError,
     SignedCountTable,
+    Violation,
     binomial,
     character_class_polynomial,
     cross_validate,
@@ -326,6 +327,25 @@ def test_cross_validate_checks_divisor_formula_eval(monkeypatch, capsys):
         cross_validate(1)
     assert cli.run(["modcount", "--n", "1"]) == 3
     assert "divisor-formula eval vs dp signed" in capsys.readouterr().err
+
+
+def test_cross_validate_states_the_claim_on_the_signed_counts(monkeypatch):
+    # the claim is series.partial_sum_violations, handed dp.signed and
+    # modcount's own kind; what it returns is the report's violations
+    calls = []
+    flagged = Violation(
+        kind="k", location={"n": 2, "residue": 3}, value=0, expected=">0"
+    )
+
+    def claim(sums, n, kind):
+        calls.append((sums, n, kind))
+        return [flagged]
+
+    monkeypatch.setattr(modcount, "partial_sum_violations", claim)
+    doc = cross_validate(2)
+    assert calls == [(dp_signed_counts(2).signed, 2, "nonpositive-signed-count")]
+    assert doc.violations == [flagged]
+    assert doc.status == "fail"
 
 
 def test_cross_validate_skips_enumeration_when_large():

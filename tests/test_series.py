@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from borwein import (
     IntPolynomial,
+    Violation,
     a_via_qbinomial,
     check_sign_pattern,
     decompose_abc,
     eval_at,
     expand_borwein,
+    partial_sum_violations,
     residue_partial_sums,
     sign_violations,
     verify_partial_sums,
@@ -179,6 +181,17 @@ def test_partial_sums_total_is_zero(series_upto_100):
     # rows partition all coefficients and the product vanishes at q = 1
     for n in (0, 1, 2, 8, 33):
         assert sum(residue_partial_sums(series_upto_100[n])) == 0
+
+
+def test_partial_sum_violations_flag_only_nonpositive_multiples_of_three():
+    # zero and negative entries at 3 | b fail, in ascending residue order;
+    # the entries at 3 ∤ b are all <= 0 here and never flagged
+    sums = (0, -1, 0, 5, 0, -3, -2, 7, -4)
+    assert partial_sum_violations(sums, 2, "claim") == [
+        Violation("claim", location={"n": 2, "residue": 0}, value=0, expected=">0"),
+        Violation("claim", location={"n": 2, "residue": 6}, value=-2, expected=">0"),
+    ]
+    assert partial_sum_violations((4, -1, -2, 2, -2, -1), 1, "claim") == []
 
 
 def test_verify_partial_sums_report():

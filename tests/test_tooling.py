@@ -6,8 +6,10 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,6 +28,7 @@ REFERENCE_COMMANDS = [
     "verify --n-min 0 --n-max 100 --jobs 1 --json -",
     "conjecture23 --n-min 0 --n-max 40 --jobs 1 --json -",
     "modcount --n-min 14 --n-max 40 --jobs 1 --json -",
+    "modcount --n 10 --json -",
     "identity --n-min 6 --n-max 40 --jobs 1 --json -",
     "partial-sums --n 249 --json -",
     "stanley --k-max 196 --json -",
@@ -49,6 +52,34 @@ def test_traced_functions_are_public_callables():
             if attr not in module.__all__ or not callable(getattr(module, attr, None)):
                 missing.append(f"{name}: {traced}")
     assert missing == []
+
+
+def test_traced_functions_are_called_on_their_workload(tmp_path):
+    """Every function `oracles` traces records a span when its commands run.
+
+    Each command of the workload runs at the values REFERENCE_COMMANDS
+    gives it, under perfbench/spans.py, in a fresh child process: warm
+    lru_caches in this process would hide pow_trunc and
+    gaussian_binomial. So a traced function that src stops calling fails
+    here, not only in a traced benchmark run's coverage check.
+    """
+    workload = json.loads(DESIGN.read_text(encoding="utf-8"))["workloads"]["oracles"]
+    paths = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    recorded: set[str] = set()
+    for i, template in enumerate(workload["commands"]):
+        # the reference command this template becomes once its {fields} are filled
+        (command,) = [
+            command
+            for command in map(str.split, REFERENCE_COMMANDS)
+            if len(command) == len(template)
+            and all(t == c or t.startswith("{") for t, c in zip(template, command))
+        ]
+        out = tmp_path / f"spans{i}.json"
+        argv = [sys.executable, str(PERFBENCH / "spans.py"), str(out), str(i), "--"]
+        subprocess.run([*argv, *command], env=env, stdout=subprocess.DEVNULL, check=True)
+        recorded.update(json.loads(out.read_text(encoding="utf-8"))["names"])
+    assert sorted(set(workload["traced_functions"]) - recorded) == []
 
 
 def test_reference_points_match(monkeypatch, capsys):
