@@ -352,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (help_text, minimum, _, _) in _SWEEPS.items():
         sub = subs.add_parser(command, help=help_text)
         sub.add_argument("--n", type=int, help="single index")
-        sub.add_argument("--n-min", type=int, default=minimum, help="sweep start")
+        sub.add_argument("--n-min", type=int, help="sweep start")
         sub.add_argument("--n-max", type=int, help="sweep end (inclusive)")
         sub.add_argument("--json", metavar="PATH|-", help="write NDJSON reports here")
         sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
@@ -375,17 +375,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_range(
     parser: argparse.ArgumentParser, args: argparse.Namespace, minimum: int
 ) -> list[int]:
-    if args.n is not None and args.n_max is not None:
-        parser.error("--n and --n-max are mutually exclusive")
     if args.n is not None:
+        for flag, value in (("--n-max", args.n_max), ("--n-min", args.n_min)):
+            if value is not None:
+                parser.error(f"--n and {flag} are mutually exclusive")
         if args.n < minimum:
             parser.error(f"--n must be >= {minimum}")
         return [args.n]
     if args.n_max is None:
         parser.error("one of --n or --n-max is required")
-    if args.n_max < args.n_min or args.n_min < minimum:
+    n_min = minimum if args.n_min is None else args.n_min
+    if args.n_max < n_min or n_min < minimum:
         parser.error(f"need {minimum} <= --n-min <= --n-max")
-    return list(range(args.n_min, args.n_max + 1))
+    return list(range(n_min, args.n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +411,10 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     split into one block per worker, with min(jobs, len(points),
     os.cpu_count()) workers: every extra block starts its chain from
     scratch, and a block's points go out once the block is done. The
-    --json destination is opened before any point runs, so an
-    unwritable one fails at once. The exit code is that of the worst
-    status among the new reports and the manifest's reused entries.
+    --json destination is opened, and the manifest written once, before
+    any point runs, so an unwritable one fails at once. The exit code is
+    that of the worst status among the new reports and the manifest's
+    reused entries.
     """
     command = args.subcommand
     if args.jobs < 1:
@@ -446,6 +449,8 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     elif args.fresh:
         parser.error("--fresh requires --manifest")
     with _open_json(args.json) as out:
+        if manifest is not None:
+            manifest.save()
         docs = _run_blocks(block_worker, points, args.jobs)
         for point, doc in zip(points, docs, strict=True):
             _log(f"{command} {label}={point} {doc.status}")

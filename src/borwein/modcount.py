@@ -16,16 +16,19 @@ Three independent evaluators are kept deliberately separate:
   polynomial G_d(t), a power of a sparse closed-form base, and the
   character sum collapses to Ramanujan sums c_d, so row k of the table
   is (1/N) Σ_{d|N} [t^k] G_d(t) · (c_d(0), ..., c_d(N-1)), a sum of one
-  Ramanujan row per divisor, with the division by N exact.
+  Ramanujan row per divisor, with the division by N exact. Its
+  single-value route, divisor_formula_eval, sums over k first: one
+  weight G_d(-1) per divisor gives the whole signed vector M.
 
-A fourth evaluator, literal_closed_form, returns the value of a
+A fourth evaluator, literal_closed_form, returns the values of a
 published closed form taken verbatim (main term 2·3^{N/3}/N plus a
-divisor correction). It disagrees with the oracles for small N, so it
-is report-only: its discrepancies are recorded as data.
+divisor correction) at every 3 | b. It disagrees with the oracles for
+small N, so it is report-only: its discrepancies are recorded as data.
 
-Every evaluator only returns values. cross_validate makes every
-comparison, on one path (_first_difference), and alone raises
-OracleMismatchError; the claim itself is series.partial_sum_violations.
+Every evaluator takes n alone and only returns values. cross_validate
+makes every comparison, at every b, on one path (_first_difference),
+and alone raises OracleMismatchError; the claim itself is
+series.partial_sum_violations.
 """
 
 from __future__ import annotations
@@ -206,20 +209,24 @@ def _over_N(N: int, k: int | None, b: int, total: int) -> int:
     return quotient
 
 
-def divisor_formula_eval(n: int, b: int) -> int:
-    """Closed-form signed count M(b).
+def divisor_formula_eval(n: int) -> tuple[int, ...]:
+    """Closed-form signed counts (M(0), ..., M(N-1)).
 
     M(k, b) = (1/N) Σ_{d|N} c_d(b)·[t^k] G_d(t), with c_d the Ramanujan
     sum; summing over k with alternating signs turns [t^k] G_d into
-    G_d(-1), and c_d(b) is asked for only where G_d(-1) ≠ 0. The
-    division by N must be exact; a remainder raises.
+    G_d(-1). That weight is evaluated once per divisor, and c_d(b) is
+    asked for only where it is nonzero. Every division by N must be
+    exact; a remainder raises.
     """
     if n < 0:
         raise ValueError(f"divisor_formula_eval needs n >= 0, got {n}")
     N = 3 * (n + 1)
     weights = {d: eval_at(character_class_polynomial(N, d), -1) for d in divisors(N)}
-    total = sum(ramanujan_sum(d, b) * w for d, w in weights.items() if w)
-    return _over_N(N, None, b, total)
+    nonzero = [(d, w) for d, w in weights.items() if w]
+    return tuple(
+        _over_N(N, None, b, sum(ramanujan_sum(d, b) * w for d, w in nonzero))
+        for b in range(N)
+    )
 
 
 def divisor_formula_table(n: int) -> SignedCountTable:
@@ -243,7 +250,6 @@ def divisor_formula_table(n: int) -> SignedCountTable:
     return _table(n, counts)
 
 
-@lru_cache(maxsize=None)
 def _literal_inner_sum(N: int, d: int) -> Fraction:
     """Σ_{k = 0, d, ..., 2N/3} C(2N/(3d) + k/d - 1, k/d): the same for every b."""
     inner = Fraction(0)
@@ -256,27 +262,26 @@ def _literal_inner_sum(N: int, d: int) -> Fraction:
     return inner
 
 
-def literal_closed_form(n: int, b: int) -> Fraction:
+def literal_closed_form(n: int) -> tuple[Fraction, ...]:
     """The literal closed form 2·3^{N/3}/N + (1/N)·Σ_{d|N, d∉{1,3}} ..., exactly.
 
-    Report-only: kept verbatim even though it disagrees with the exact
-    evaluators for small N (e.g. n=1, b=0 gives 13/3 against the true
-    4). Requires 3 | b, matching the claim it annotates. Conventions
-    applied (the printed form leaves them open): the inner sum runs over
-    multiples k of d in [0, 2N/3], and binomials with fractional top
-    argument 2N/(3d) + k/d - 1 use the generalized (rational) binomial.
+    Returns its values at b = 0, 3, ..., N-3, the residues of the claim
+    it annotates. Report-only: kept verbatim even though it disagrees
+    with the exact evaluators for small N (e.g. n=1, b=0 gives 13/3
+    against the true 4). Conventions applied (the printed form leaves
+    them open): the inner sum runs over multiples k of d in [0, 2N/3],
+    and binomials with fractional top argument 2N/(3d) + k/d - 1 use the
+    generalized (rational) binomial. Each inner sum is computed once.
     """
     if n < 0:
         raise ValueError(f"literal_closed_form needs n >= 0, got {n}")
-    if b % 3:
-        raise ValueError(f"literal_closed_form is stated for 3 | b, got b={b}")
     N = 3 * (n + 1)
-    correction = Fraction(0)
-    for d in divisors(N):
-        if d in (1, 3):
-            continue
-        correction += Fraction(ramanujan_sum(d, b)) * _literal_inner_sum(N, d)
-    return Fraction(2 * 3 ** (N // 3), N) + correction / N
+    inner = [(d, _literal_inner_sum(N, d)) for d in divisors(N) if d not in (1, 3)]
+    main = Fraction(2 * 3 ** (N // 3), N)
+    return tuple(
+        main + sum((ramanujan_sum(d, b) * s for d, s in inner), Fraction(0)) / N
+        for b in range(0, N, 3)
+    )
 
 
 def _table_shape(t: SignedCountTable) -> str:
@@ -284,21 +289,19 @@ def _table_shape(t: SignedCountTable) -> str:
     return f"{len(t.counts)} rows of length {'/'.join(map(str, lengths))}"
 
 
-def _first_difference(
-    what: str, N: int, left: _Rows, right: _Rows, residues: range
-) -> None:
+def _first_difference(what: str, N: int, left: _Rows, right: _Rows) -> None:
     """Raise OracleMismatchError at the first entry where two tables differ.
 
-    Entry i of row k sits at residue residues[i]. A signed vector is a
-    table of one row, and its location names b alone.
+    Entry b of every row sits at residue b. A signed vector is a table
+    of one row, and its location names b alone.
     """
     for k, rows in enumerate(zip(left, right)):
         diff = list(map(ne, *rows))
         if True in diff:
-            i = diff.index(True)
-            where = f"k={k}, b={residues[i]}" if len(left) > 1 else f"b={residues[i]}"
+            b = diff.index(True)
+            where = f"k={k}, b={b}" if len(left) > 1 else f"b={b}"
             raise OracleMismatchError(
-                f"{what} disagree at (N={N}, {where}): {rows[0][i]} != {rows[1][i]}"
+                f"{what} disagree at (N={N}, {where}): {rows[0][b]} != {rows[1][b]}"
             )
 
 
@@ -307,8 +310,8 @@ def cross_validate(n: int) -> ReportDocument:
 
     Exact-equality checks (any failure raises OracleMismatchError):
     DP table == divisor-formula table, DP == enumeration while within
-    capacity, the signed vector == the residue partial sums of the
-    Borwein product, and M(b) == divisor_formula_eval(n, b) for 3 | b.
+    capacity, and the DP's signed vector == the residue partial sums of
+    the Borwein product == divisor_formula_eval(n), at every b.
     The claim M(b) > 0 for 3 | b goes to violations; literal-closed-form
     discrepancies against divisor_formula_eval go to data.
     """
@@ -326,25 +329,21 @@ def cross_validate(n: int) -> ReportDocument:
                 f"dp vs {name} differ in shape at N={N}: "
                 f"{_table_shape(dp)} != {_table_shape(table)}"
             )
-        _first_difference(f"dp vs {name}", N, dp.counts, table.counts, range(N))
+        _first_difference(f"dp vs {name}", N, dp.counts, table.counts)
         doc.cross_checks.append(
             CrossCheck(check, str(list(dp.signed)), str(list(table.signed)))
         )
     sums = residue_partial_sums(expand_borwein(n))
-    _first_difference("partial sums vs dp signed", N, [sums], [dp.signed], range(N))
+    _first_difference("partial sums vs dp signed", N, [sums], [dp.signed])
     doc.cross_checks.append(
         CrossCheck("signed_vs_partial_sums", str(list(dp.signed)), str(list(sums)))
     )
-    residues = range(0, N, 3)
-    oracles = [divisor_formula_eval(n, b) for b in residues]
-    _first_difference(
-        "divisor-formula eval vs dp signed", N, [oracles], [dp.signed[::3]], residues
-    )
+    oracles = divisor_formula_eval(n)
+    _first_difference("divisor-formula eval vs dp signed", N, [oracles], [dp.signed])
     doc.violations = partial_sum_violations(dp.signed, n, "nonpositive-signed-count")
-    values = [literal_closed_form(n, b) for b in residues]
     doc.data["signed"] = list(dp.signed)
     doc.data["literal_form"] = [
         {"b": b, "value": str(v), "oracle": m, "discrepancy": str(v - m)}
-        for b, v, m in zip(residues, values, oracles)
+        for b, v, m in zip(range(0, N, 3), literal_closed_form(n), oracles[::3])
     ]
     return doc.finish()

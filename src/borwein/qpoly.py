@@ -5,9 +5,13 @@ which expands products like ∏ (1-q^{3j+1})(1-q^{3j+2}) in O(degree) per
 factor with plain Python ints as coefficients. pow_trunc raises the
 sparse closed-form bases of the divisor-class polynomials G_d by binary
 powering over a schoolbook product; despite its name it never truncates.
-The one truncation is ProductSpec.truncation, which keeps a prefix of
-an expand_product result. The one divider, exact_div, divides by
-(1-q^k) as a running sum per residue class and raises on a remainder.
+The sparse kernel always returns the whole product p·(1 - q^m);
+expand_product runs one loop for every ProductSpec and cuts each pass
+back to the terms it keeps: the lower half plus an overlap that is
+checked against its mirror, or a shorter prefix when
+ProductSpec.truncation (the one truncation) asks for less. The one
+divider, exact_div, divides by (1-q^k) as a running sum per residue
+class and raises on a remainder.
 Gaussian binomials use the same kernel: each step of the ratio
 recurrence over k is one sparse pass and one exact_div.
 Degrees reach a few million and coefficients a few thousand bits, so
@@ -98,26 +102,19 @@ class IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# raw-list kernels (internal): no trimming, bound = max number of coefficients
+# raw-list kernels (internal): no trimming
 
-def _sparse_step(p: Sequence[int], m: int, bound: int | None) -> list[int]:
-    """p · (1 - q^m) on raw coefficients: c_e = p_e - p_{e-m}.
+def _sparse_step(p: Sequence[int], m: int) -> list[int]:
+    """The whole product p · (1 - q^m) on raw coefficients: c_e = p_e - p_{e-m}.
 
     p may be a list or a tuple; each branch builds its output as one list
     display, so no intermediate list is concatenated and thrown away.
+    Callers that keep a prefix cut it from the result.
     """
     n = len(p)
-    if not n:
-        return []
-    if bound is None or bound >= n + m:
-        if m >= n:
-            return [*p, *repeat(0, m - n), *map(neg, p)]
-        return [*p[:m], *map(sub, p[m:], p[: n - m]), *map(neg, p[n - m :])]
     if m >= n:
-        return [*p, *repeat(0, m - n), *map(neg, p[: bound - m])]
-    if bound <= n:
-        return [*p[:m], *map(sub, p[m:bound], p[: bound - m])]
-    return [*p[:m], *map(sub, p[m:], p[: n - m]), *map(neg, p[n - m : bound - m])]
+        return [*p, *repeat(0, m - n), *map(neg, p)]
+    return [*p[:m], *map(sub, p[m:], p[: n - m]), *map(neg, p[n - m :])]
 
 
 def _mul_lists(p: Sequence[int], q: Sequence[int]) -> list[int]:
@@ -148,7 +145,7 @@ def mul_sparse_factor(P: IntPolynomial, m: int) -> IntPolynomial:
     """P · (1 - q^m)."""
     if m < 1:
         raise ValueError(f"sparse factor exponent must be >= 1, got {m}")
-    return IntPolynomial(_sparse_step(P.coeffs, m, None))
+    return IntPolynomial(_sparse_step(P.coeffs, m))
 
 
 def pow_trunc(P: IntPolynomial, e: int) -> IntPolynomial:
@@ -282,29 +279,27 @@ class ProductSpec:
 def expand_product(spec: ProductSpec) -> IntPolynomial:
     """Expand the product described by spec exactly.
 
-    One sparse-factor pass per factor, ascending exponent order; factors
-    whose exponent reaches the bound cannot change kept terms and are
-    skipped. A product of k factors (1 - q^m) of total degree D satisfies
-    a_{D-j} = (-1)^k a_j. So when the kept terms reach past D/2 + w, with
-    w the largest factor exponent, the passes keep only the terms up to
-    D/2 + w and the rest is mirrored from the lower half. The w terms
-    computed past the midpoint (and the middle term, for even D) must
-    equal their mirrors, or MirrorMismatchError is raised: that overlap
-    is the check on the half that was not computed.
+    One sparse-factor pass per factor, ascending exponent order, each
+    cut back to the terms up to keep; factors whose exponent is past
+    keep cannot change those terms and are skipped. A product of k
+    factors (1 - q^m) of total degree D satisfies a_{D-j} = (-1)^k a_j,
+    so keep is D/2 + w, with w the largest factor exponent, and the rest
+    is mirrored from the lower half. The terms computed past the
+    midpoint (and the middle term, for even D) must equal their mirrors,
+    or MirrorMismatchError is raised: that overlap is the check on the
+    half that was not computed. A truncation below D/2 + w lowers keep,
+    and the prefix is the result.
     """
     D = spec.full_degree
-    top = D // 2 + spec.modulus * spec.upper_index + max(spec.residues)
-    mirror = top < D and (spec.truncation is None or spec.truncation >= top)
-    if mirror:
-        bound = top + 1
-    else:
-        bound = None if spec.truncation is None else spec.truncation + 1
+    top = min(D // 2 + spec.modulus * spec.upper_index + max(spec.residues), D)
+    keep = top if spec.truncation is None else min(top, spec.truncation)
     coeffs = [1]
     for m in spec.exponents():
-        if bound is not None and m >= bound:
+        if m > keep:
             break
-        coeffs = _sparse_step(coeffs, m, bound)
-    if not mirror:
+        coeffs = _sparse_step(coeffs, m)
+        del coeffs[keep + 1 :]
+    if keep < top:
         return IntPolynomial(coeffs)
     odd = spec.multiplicity * len(spec.residues) * (spec.upper_index + 1) % 2
     mid = D - D // 2

@@ -90,28 +90,16 @@ def sign_violations(
             break
     else:
         return []
-    out: list[Violation] = []
-    for j, c in enumerate(cs):
-        if j % modulus == 0:
-            if c < 0:
-                out.append(
-                    Violation(
-                        kind=kind,
-                        location={"n": n, "exponent": j},
-                        value=c,
-                        expected=">=0",
-                    )
-                )
-        elif c > 0:
-            out.append(
-                Violation(
-                    kind=kind,
-                    location={"n": n, "exponent": j},
-                    value=c,
-                    expected="<=0",
-                )
-            )
-    return out
+    return [
+        Violation(
+            kind=kind,
+            location={"n": n, "exponent": j},
+            value=c,
+            expected="<=0" if j % modulus else ">=0",
+        )
+        for j, c in enumerate(cs)
+        if (c > 0 if j % modulus else c < 0)
+    ]
 
 
 def check_sign_pattern(s: BorweinSeries) -> list[Violation]:

@@ -227,6 +227,15 @@ def test_n_and_n_max_conflict():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("n_min", ["7", "0"])
+def test_n_and_n_min_conflict(n_min, capsys):
+    # --n used to win silently over --n-min, even one that is not the default
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--n", "3", "--n-min", n_min)
+    assert exc.value.code == 2
+    assert "--n and --n-min are mutually exclusive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_is_usage_error(jobs, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -309,6 +318,21 @@ def test_unwritable_json_destination_fails_before_any_point(tmp_path, monkeypatc
     dest = tmp_path / "no-such-dir" / "out.ndjson"
     assert run_cli("modcount", "--n-min", "0", "--n-max", "3", "--json", str(dest)) == 2
     assert calls == []
+
+
+def test_unwritable_manifest_fails_before_any_point(tmp_path, monkeypatch, capsys):
+    calls: list[int] = []
+
+    def recorder(points):
+        calls.extend(points)
+        return (new_report("modcount", {"n": n}).finish() for n in points)
+
+    modcount_row = cli._SWEEPS["modcount"][:3] + (recorder,)
+    monkeypatch.setitem(cli._SWEEPS, "modcount", modcount_row)
+    dest = tmp_path / "no-such-dir" / "m.json"
+    assert run_cli("modcount", "--n", "2", "--manifest", str(dest)) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("cannot write output: ")
 
 
 def test_oracle_mismatch_maps_to_exit_3(monkeypatch):
@@ -626,6 +650,7 @@ def test_progress_lines_go_to_stderr(capsys):
 
 RANGE_OPTIONS = {
     "--n": None,
+    "--n-min": None,
     "--n-max": None,
     "--json": None,
     "--jobs": 1,
@@ -638,16 +663,16 @@ RANGE_OPTIONS = {
     "command, options, lowest",
     [
         ("expand", {"--n": None, "--json": None, "--csv": None}, 0),
-        ("verify", {**RANGE_OPTIONS, "--n-min": 0}, 0),
-        ("partial-sums", {**RANGE_OPTIONS, "--n-min": 0}, 0),
-        ("modcount", {**RANGE_OPTIONS, "--n-min": 0}, 0),
-        ("identity", {**RANGE_OPTIONS, "--n-min": 1}, 1),
-        ("conjecture23", {**RANGE_OPTIONS, "--n-min": 0}, 0),
+        ("verify", RANGE_OPTIONS, 0),
+        ("partial-sums", RANGE_OPTIONS, 0),
+        ("modcount", RANGE_OPTIONS, 0),
+        ("identity", RANGE_OPTIONS, 1),
+        ("conjecture23", RANGE_OPTIONS, 0),
         ("stanley", {"--p": None, "--k-max": 100, "--json": None}, None),
         ("coherence", {"--p": None, "--j-max": 2000, "--json": None}, None),
     ],
 )
-def test_subcommand_parser_shape(command, options, lowest):
+def test_subcommand_parser_shape(command, options, lowest, tmp_path):
     (subparsers,) = [
         a
         for a in cli._build_parser()._actions
@@ -666,6 +691,12 @@ def test_subcommand_parser_shape(command, options, lowest):
             run_cli(command, "--n", str(lowest - 1))
         assert exc.value.code == 2
         assert run_cli(command, "--n", str(lowest)) == 0
+        if command in cli._SWEEPS:
+            # without --n-min a sweep starts at the lowest index
+            out = tmp_path / "out.ndjson"
+            assert run_cli(command, "--n-max", str(lowest), "--json", str(out)) == 0
+            label = cli._SWEEPS[command][2]
+            assert [doc["params"] for doc in read_ndjson(out)] == [{label: str(lowest)}]
     else:
         for flag, value in (("--jobs", "2"), ("--manifest", "m.json")):
             with pytest.raises(SystemExit) as exc:

@@ -205,10 +205,8 @@ def test_class_polynomial_independent_of_character_choice():
 
 
 def test_divisor_formula_point_values():
-    assert divisor_formula_eval(1, 0) == 4
-    assert divisor_formula_eval(1, 3) == 2
-    assert divisor_formula_eval(1, 1) == -1
-    assert divisor_formula_eval(0, 0) == 2
+    assert divisor_formula_eval(1) == (4, -1, -2, 2, -2, -1)
+    assert divisor_formula_eval(0) == (2, -1, -1)
     counts = divisor_formula_table(1).counts
     assert (counts[2][0], counts[2][3], counts[0][1]) == (2, 2, 0)
 
@@ -224,7 +222,7 @@ def test_character_sum_remainder_raises(monkeypatch, capsys):
         InexactDivisionError,
         match=r"^character sum 27 not divisible by N=6 at \(k=None, b=0\)$",
     ):
-        divisor_formula_eval(1, 0)
+        divisor_formula_eval(1)
     with pytest.raises(
         InexactDivisionError,
         match=r"^character sum 7 not divisible by N=6 at \(k=0, b=0\)$",
@@ -242,8 +240,7 @@ def test_divisor_formula_table_matches_dp(dp_tables_upto_30):
 def test_divisor_formula_eval_matches_table():
     for n in (0, 1, 3, 6):
         t = divisor_formula_table(n)
-        for b in range(t.N):
-            assert divisor_formula_eval(n, b) == t.signed[b]
+        assert divisor_formula_eval(n) == t.signed
 
 
 def test_positivity_on_multiples_of_three(dp_tables_upto_30):
@@ -255,22 +252,19 @@ def test_positivity_on_multiples_of_three(dp_tables_upto_30):
 def test_literal_form_known_discrepancies():
     # the oracle values 4 and 2 and the discrepancies 1/3 and -1/3 are
     # checked in test_cross_validate_records_literal_form
-    assert literal_closed_form(1, 0) == Fraction(13, 3)
-    assert literal_closed_form(1, 3) == Fraction(5, 3)
+    assert literal_closed_form(1) == (Fraction(13, 3), Fraction(5, 3))
 
 
 def test_literal_form_validation():
     with pytest.raises(ValueError):
-        literal_closed_form(1, 1)
-    with pytest.raises(ValueError):
-        literal_closed_form(-1, 0)
+        literal_closed_form(-1)
 
 
 def test_literal_form_more_frozen_points():
     # exact at n = 0, drifts afterwards; all report-only (the oracle
     # values are checked in test_cross_validate_records_literal_form)
-    assert literal_closed_form(0, 0) == 2
-    assert literal_closed_form(2, 0) == Fraction(20, 3)
+    assert literal_closed_form(0) == (2,)
+    assert literal_closed_form(2)[0] == Fraction(20, 3)
 
 
 def test_cross_validate_passes():
@@ -318,7 +312,7 @@ def test_cross_validate_checks_divisor_formula_eval(monkeypatch, capsys):
     # there is an oracle mismatch, not just a shifted literal-form oracle
     exact = modcount.divisor_formula_eval
     monkeypatch.setattr(
-        modcount, "divisor_formula_eval", lambda n, b: exact(n, b) + 1
+        modcount, "divisor_formula_eval", lambda n: [m + 1 for m in exact(n)]
     )
     with pytest.raises(
         OracleMismatchError,

@@ -327,20 +327,21 @@ def test_expand_borwein_matches_unmirrored_oracle(series_upto_100):
 
 
 def off_by_one_once(monkeypatch) -> None:
-    """Make the first kernel output that fills its bound wrong by one at its top.
+    """Make the first kernel output that reaches a_723 wrong by one there.
 
-    Later passes keep that error at the top exponent, D/2 + w, so exactly
-    one term computed past the midpoint is off by one.
+    At n = 20, a_723 is the top computed term, D/2 + w. Later passes
+    move that error only to exponents above it, which are cut, so
+    exactly one term computed past the midpoint is off by one.
     """
     kernel = qpoly._sparse_step
     armed = True
 
-    def broken(p, m, bound):
+    def broken(p, m):
         nonlocal armed
-        out = kernel(p, m, bound)
-        if armed and bound is not None and len(out) == bound:
+        out = kernel(p, m)
+        if armed and len(out) > 723:
             armed = False
-            out[-1] += 1
+            out[723] += 1
         return out
 
     monkeypatch.setattr(qpoly, "_sparse_step", broken)

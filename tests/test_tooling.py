@@ -54,32 +54,56 @@ def test_traced_functions_are_public_callables():
     assert missing == []
 
 
-def test_traced_functions_are_called_on_their_workload(tmp_path):
-    """Every function `oracles` traces records a span when its commands run.
+def workload_command(template: list[str], csv: Path) -> list[str]:
+    """A design.json command template with its {fields} filled.
 
-    Each command of the workload runs at the values REFERENCE_COMMANDS
-    gives it, under perfbench/spans.py, in a fresh child process: warm
+    A template that becomes a REFERENCE_COMMANDS entry takes that entry's
+    values; any other takes n = 20 and writes its CSV to `csv`.
+    """
+    matches = [
+        command
+        for command in map(str.split, REFERENCE_COMMANDS)
+        if len(command) == len(template)
+        and all(t == c or t.startswith("{") for t, c in zip(template, command))
+    ]
+    if matches:
+        (command,) = matches
+        return command
+    return [
+        str(csv) if t == "{csv}" else "20" if t.startswith("{") else t
+        for t in template
+    ]
+
+
+def test_traced_functions_are_called_on_their_workload(tmp_path):
+    """Every function a workload traces records a span when its commands run.
+
+    Each command of every workload runs under perfbench/spans.py in a
+    fresh child process, at the values workload_command gives it: warm
     lru_caches in this process would hide pow_trunc and
-    gaussian_binomial. So a traced function that src stops calling fails
+    gaussian_binomial, and which functions run does not depend on n.
+    Every child must exit 0. So a counter hook that can no longer bind
+    its argument, or a traced function that src stops calling, fails
     here, not only in a traced benchmark run's coverage check.
     """
-    workload = json.loads(DESIGN.read_text(encoding="utf-8"))["workloads"]["oracles"]
+    workloads = json.loads(DESIGN.read_text(encoding="utf-8"))["workloads"]
     paths = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    recorded: set[str] = set()
-    for i, template in enumerate(workload["commands"]):
-        # the reference command this template becomes once its {fields} are filled
-        (command,) = [
-            command
-            for command in map(str.split, REFERENCE_COMMANDS)
-            if len(command) == len(template)
-            and all(t == c or t.startswith("{") for t, c in zip(template, command))
+    missing = []
+    for name, workload in workloads.items():
+        recorded: set[str] = set()
+        for i, template in enumerate(workload["commands"]):
+            command = workload_command(template, tmp_path / f"{name}{i}.csv")
+            out = tmp_path / f"{name}{i}.json"
+            argv = [sys.executable, str(PERFBENCH / "spans.py"), str(out), str(i), "--"]
+            subprocess.run(
+                [*argv, *command], env=env, stdout=subprocess.DEVNULL, check=True
+            )
+            recorded.update(json.loads(out.read_text(encoding="utf-8"))["names"])
+        missing += [
+            f"{name}: {f}" for f in workload["traced_functions"] if f not in recorded
         ]
-        out = tmp_path / f"spans{i}.json"
-        argv = [sys.executable, str(PERFBENCH / "spans.py"), str(out), str(i), "--"]
-        subprocess.run([*argv, *command], env=env, stdout=subprocess.DEVNULL, check=True)
-        recorded.update(json.loads(out.read_text(encoding="utf-8"))["names"])
-    assert sorted(set(workload["traced_functions"]) - recorded) == []
+    assert missing == []
 
 
 def test_reference_points_match(monkeypatch, capsys):
