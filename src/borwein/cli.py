@@ -20,7 +20,9 @@ manifest entries of the points it finished.
 Exit codes: 0 all checks pass; 1 a claim check failed; 2 usage or
 parameter error (including unwritable destinations and manifest
 mismatches); 3 internal cross-validation failure (oracle mismatch,
-inexact division, or a mirrored expansion whose overlap disagrees).
+inexact division, or a mirrored expansion whose overlap disagrees); 4
+the helper process of a split expansion exited before returning its
+terms.
 """
 
 from __future__ import annotations
@@ -569,6 +571,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ValueError as exc:
         _log(f"parameter error: {exc}")
         return 2
+    except ChildProcessError as exc:
+        _log(f"internal failure: {exc}")
+        return 4
     except OSError as exc:
         _log(f"cannot write output: {exc}")
         return 2

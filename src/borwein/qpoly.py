@@ -5,11 +5,18 @@ which expands products like ∏ (1-q^{3j+1})(1-q^{3j+2}) in O(degree) per
 factor with plain Python ints as coefficients. pow_trunc raises the
 sparse closed-form bases of the divisor-class polynomials G_d by binary
 powering over a schoolbook product; despite its name it never truncates.
-The sparse kernel always returns the whole product p·(1 - q^m);
+The sparse kernel multiplies a window of coefficients, the terms from
+some offset K up, and takes the m terms below K as well: those are all
+a pass c_e = p_e - p_{e-m} reads from outside the window. It always
+returns the whole windowed product, and callers cut what they keep.
 expand_product runs one loop for every ProductSpec and cuts each pass
 back to the terms it keeps: the lower half plus an overlap that is
 checked against its mirror, or a shorter prefix when
-ProductSpec.truncation (the one truncation) asks for less. The one
+ProductSpec.truncation (the one truncation) asks for less. A large
+expansion splits its passes by coefficient index: this process runs the
+window [0, K) and a forked helper the window [K, keep], fed the m
+boundary terms below K before each pass, so both compute every term by
+the same subtraction as one process would. The one
 divider, exact_div, divides by (1-q^k) as a running sum per residue
 class and raises on a remainder.
 Gaussian binomials use the same kernel: each step of the ratio
@@ -20,9 +27,14 @@ the hot loops stay on raw lists and C-level map()/slice operations.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, takewhile
+from multiprocessing.connection import Connection
 from operator import add, neg, sub
 from typing import Iterable, Iterator, Sequence
 
@@ -104,17 +116,24 @@ class IntPolynomial:
 # ---------------------------------------------------------------------------
 # raw-list kernels (internal): no trimming
 
-def _sparse_step(p: Sequence[int], m: int) -> list[int]:
-    """The whole product p · (1 - q^m) on raw coefficients: c_e = p_e - p_{e-m}.
+def _sparse_step(p: Sequence[int], m: int, below: Sequence[int]) -> list[int]:
+    """The whole product of a window by (1 - q^m): c_e = p_e - p_{e-m}.
 
-    p may be a list or a tuple; each branch builds its output as one list
-    display, so no intermediate list is concatenated and thrown away.
-    Callers that keep a prefix cut it from the result.
+    The window p holds the terms from some offset K up, and below holds
+    the m terms p_{K-m}..p_{K-1} under it: zeros for the window at 0,
+    and for exponents below 0. The output starts at K as well and is
+    len(p) + m long. p may be a list or a tuple; each branch builds its
+    output as one list display, so no intermediate list is concatenated
+    and thrown away. Callers that keep a prefix cut it from the result.
     """
     n = len(p)
-    if m >= n:
-        return [*p, *repeat(0, m - n), *map(neg, p)]
-    return [*p[:m], *map(sub, p[m:], p[: n - m]), *map(neg, p[n - m :])]
+    if m > n:
+        return [*map(sub, p, below), *map(neg, below[n:]), *map(neg, p)]
+    return [
+        *map(sub, p[:m], below),
+        *map(sub, p[m:], p[: n - m]),
+        *map(neg, p[n - m :]),
+    ]
 
 
 def _mul_lists(p: Sequence[int], q: Sequence[int]) -> list[int]:
@@ -145,7 +164,7 @@ def mul_sparse_factor(P: IntPolynomial, m: int) -> IntPolynomial:
     """P · (1 - q^m)."""
     if m < 1:
         raise ValueError(f"sparse factor exponent must be >= 1, got {m}")
-    return IntPolynomial(_sparse_step(P.coeffs, m))
+    return IntPolynomial(_sparse_step(P.coeffs, m, [0] * m))
 
 
 def pow_trunc(P: IntPolynomial, e: int) -> IntPolynomial:
@@ -187,9 +206,18 @@ def exact_div(P: IntPolynomial, k: int) -> IntPolynomial:
 
 
 def eval_at(P: IntPolynomial, x: int) -> int:
-    """Exact Horner evaluation of P at an integer."""
+    """Exact value of P at an integer.
+
+    At 1 and -1 the value is a C-level sum of the coefficients, or of the
+    even-indexed ones minus the odd-indexed ones; elsewhere Horner's rule.
+    """
+    cs = P.coeffs
+    if x == 1:
+        return sum(cs)
+    if x == -1:
+        return sum(cs[0::2]) - sum(cs[1::2])
     result = 0
-    for c in reversed(P.coeffs):
+    for c in reversed(cs):
         result = result * x + c
     return result
 
@@ -276,6 +304,137 @@ class ProductSpec:
         )
 
 
+# ---------------------------------------------------------------------------
+# the passes of expand_product, on one core or split between two (internal)
+
+_SPLIT_WORK = 10**7
+"""Pass work, in coefficient operations, from which the passes are split."""
+
+_HELPER_EXIT_S = 5.0
+"""Seconds a helper is given to exit after its pipe closes."""
+
+
+def _may_fork() -> bool:
+    """Whether this process may fork a helper onto a second core.
+
+    Not inside a multiprocessing child, so --jobs workers never double
+    up, and not beside other threads, which fork does not copy.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return (
+        cpus > 1
+        and multiprocessing.parent_process() is None
+        and "fork" in multiprocessing.get_all_start_methods()
+        and threading.active_count() == 1
+    )
+
+
+def _split_point(lengths: Sequence[int]) -> int:
+    """The split K that best balances the two windows; 0 if none helps.
+
+    Pass t outputs lengths[t] terms (non-decreasing, capped at keep + 1).
+    Split at K, the lower window does Σ min(len, K) operations and the
+    upper one Σ max(len - K, 0), which it can start only when the first
+    pass longer than K does: after the S_t operations of the t passes
+    not longer than K. With c = T - t such passes of T, the time is about
+    max(S_t + K·c, S_T - K·c); on each interval of K between consecutive
+    lengths t and c are fixed, so the two sides meet at K = (S_T - S_t)/2c.
+    """
+    sums = list(accumulate(lengths, initial=0))
+    total, count = sums[-1], len(lengths)
+    best, split, lo = total, 0, 1
+    for t, hi in enumerate(lengths):
+        if lo < hi:
+            c = count - t
+            k = min(max((total - sums[t]) // (2 * c), lo), hi - 1)
+            cost = max(sums[t] + k * c, total - k * c)
+            if cost < best:
+                best, split = cost, k
+        lo = max(lo, hi)
+    return split
+
+
+def _lower_window(
+    passes: Iterable[int], split: int, conn: Connection | None = None
+) -> list[int]:
+    """Terms 0..split-1 of ∏(1 - q^m) over passes.
+
+    With a pipe to a helper, every pass whose product reaches past split
+    first sends it m and the m terms at split - m..split - 1, with zeros
+    where the product has no term.
+    """
+    window, length = [1], 1
+    for m in passes:
+        if conn is not None and length + m > split:
+            conn.send((m, [
+                *repeat(0, m - split),
+                *window[max(split - m, 0) :],
+                *repeat(0, split - len(window)),
+            ]))
+        window = _sparse_step(window, m, [0] * m)
+        del window[split:]
+        length += m
+    return window
+
+
+def _upper_window(conn: Connection, parent_end: Connection, width: int) -> None:
+    """Helper body: the passes on the width terms from split up.
+
+    Each pass waits for its m boundary terms; None asks for the terms.
+    """
+    parent_end.close()
+    window: list[int] = []
+    try:
+        while (step := conn.recv()) is not None:
+            m, below = step
+            window = _sparse_step(window, m, below)
+            del window[width:]
+        conn.send(window)
+    except (EOFError, OSError):
+        return  # the parent gave up, and reports why
+
+
+def _expand_passes(spec: ProductSpec, passes: list[int], keep: int) -> list[int]:
+    """Terms 0..keep of ∏(1 - q^m) over passes, on one core or two."""
+    lengths = list(accumulate(passes, lambda n, m: min(n + m, keep + 1), initial=1))[1:]
+    split = 0
+    if sum(lengths) >= _SPLIT_WORK and _may_fork():
+        split = _split_point(lengths)
+    if not split:
+        return _lower_window(passes, keep + 1)
+    context = multiprocessing.get_context("fork")
+    conn, helper_end = context.Pipe()
+    helper = context.Process(
+        target=_upper_window, args=(helper_end, conn, keep + 1 - split), daemon=True
+    )
+    # the helper flushes the streams it inherits when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    helper.start()
+    try:
+        helper_end.close()
+        lower = _lower_window(passes, split, conn)
+        conn.send(None)
+        lower += conn.recv()
+    except (EOFError, OSError) as exc:
+        conn.close()
+        helper.join(_HELPER_EXIT_S)
+        raise ChildProcessError(
+            f"{spec}: the helper for terms {split}..{keep} exited "
+            f"(code {helper.exitcode}) before returning them"
+        ) from exc
+    finally:
+        conn.close()
+        helper.join(_HELPER_EXIT_S)
+        if helper.is_alive():
+            helper.terminate()
+            helper.join()
+    return lower
+
+
 def expand_product(spec: ProductSpec) -> IntPolynomial:
     """Expand the product described by spec exactly.
 
@@ -289,16 +448,26 @@ def expand_product(spec: ProductSpec) -> IntPolynomial:
     or MirrorMismatchError is raised: that overlap is the check on the
     half that was not computed. A truncation below D/2 + w lowers keep,
     and the prefix is the result.
+
+    The passes run in this process unless their work, Σ over passes of
+    min(output length, keep + 1) coefficient operations, reaches
+    _SPLIT_WORK (about 10^7, n ≈ 185 for P_n), the process may use more
+    than one CPU, it is not a multiprocessing child (a --jobs worker)
+    and has no other thread, and fork exists. Then a forked helper runs
+    the passes on the window [K, keep] while this process runs them on
+    [0, K), and before each pass that reaches K it sends the helper the
+    m terms just below K. K comes from the pass lengths alone, so the
+    two windows finish about together. The joined list is the one a
+    single process computes, bit for bit, and the overlap check runs on
+    it unchanged. The helper is joined before this returns or raises; a
+    helper that exits before returning its terms raises
+    ChildProcessError.
     """
     D = spec.full_degree
     top = min(D // 2 + spec.modulus * spec.upper_index + max(spec.residues), D)
     keep = top if spec.truncation is None else min(top, spec.truncation)
-    coeffs = [1]
-    for m in spec.exponents():
-        if m > keep:
-            break
-        coeffs = _sparse_step(coeffs, m)
-        del coeffs[keep + 1 :]
+    passes = list(takewhile(keep.__ge__, spec.exponents()))
+    coeffs = _expand_passes(spec, passes, keep)
     if keep < top:
         return IntPolynomial(coeffs)
     odd = spec.multiplicity * len(spec.residues) * (spec.upper_index + 1) % 2

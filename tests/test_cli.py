@@ -9,6 +9,7 @@ import json
 import pytest
 
 import borwein.cli as cli
+import borwein.qpoly as qpoly
 from borwein import IntPolynomial, OracleMismatchError, ProductSpec, expand_product
 from borwein.report import new_report, report_to_json
 
@@ -74,6 +75,49 @@ def test_partial_sums_reports_a_nonpositive_sum(tmp_path, monkeypatch):
         }
     ]
     assert doc["data"]["partial_sums"] == [4, -1, -2, 0, -2, -1]
+
+
+def test_identity_reports_a_located_mismatch(tmp_path, monkeypatch):
+    # a_3 of the q-binomial sum at m = 5 is 3; one more must be located there
+    exact = cli.series.a_via_qbinomial
+
+    def corrupted(m: int) -> IntPolynomial:
+        cs = list(exact(m).coeffs)
+        if m == 5:
+            cs[3] += 1
+        return IntPolynomial(cs)
+
+    monkeypatch.setattr(cli.series, "a_via_qbinomial", corrupted)
+    out = tmp_path / "id.ndjson"
+    assert run_cli("identity", "--n", "5", "--json", str(out)) == 1
+    (doc,) = read_ndjson(out)
+    assert doc["status"] == "fail"
+    assert doc["cross_checks"] == [
+        {
+            "name": "a_polynomial",
+            "expected": "match",
+            "actual": "mismatch at exponent 3: 4 != 3",
+            "agree": False,
+        }
+    ]
+
+
+def test_verify_structural_checks_fail_on_a_corrupted_product(tmp_path, monkeypatch):
+    # a_0 + 7 breaks the endpoints, the symmetry and P_3(1) = 0, but no sign
+    exact = cli.series.expand_borwein
+
+    def corrupted(n: int):
+        poly = exact(n).poly
+        return cli.series.BorweinSeries(n, IntPolynomial((poly[0] + 7, *poly.coeffs[1:])))
+
+    monkeypatch.setattr(cli.series, "expand_borwein", corrupted)
+    out = tmp_path / "verify.ndjson"
+    assert run_cli("verify", "--n", "3", "--json", str(out)) == 1
+    (doc,) = read_ndjson(out)
+    assert doc["status"] == "fail"
+    assert doc["violations"] == []
+    failed = {c["name"]: c["actual"] for c in doc["cross_checks"] if not c["agree"]}
+    assert failed == {"endpoints": "8,1", "palindromic": "False", "value_at_1": "7"}
 
 
 def test_modcount_subcommand(tmp_path):
@@ -356,6 +400,36 @@ def test_jobs_parallel_output_matches_serial(tmp_path, monkeypatch):
         == 0
     )
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("partial-sums", "--n-min", "18", "--n-max", "22", "--json", "-"),
+        ("verify", "--n-min", "18", "--n-max", "22", "--jobs", "2", "--json", "-"),
+    ],
+    ids=["partial-sums", "verify-jobs-2"],
+)
+def test_split_expansion_output_matches_unsplit(monkeypatch, capsys, argv):
+    if not qpoly._may_fork():
+        pytest.skip("needs fork and a second CPU")
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755590400")
+    assert run_cli(*argv) == 0
+    unsplit = capsys.readouterr().out
+    # every expansion of this process splits; --jobs workers never do
+    monkeypatch.setattr(qpoly, "_SPLIT_WORK", 0)
+    splits: list[int] = []
+    choose = qpoly._split_point
+
+    def spy(lengths):
+        splits.append(choose(lengths))
+        return splits[-1]
+
+    monkeypatch.setattr(qpoly, "_split_point", spy)
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == unsplit
+    assert len(unsplit.splitlines()) == 5
+    assert len(splits) == (0 if "--jobs" in argv else 5)
 
 
 def per_point_ndjson(block, points) -> bytes:

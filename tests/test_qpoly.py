@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
+import multiprocessing
 import operator
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -326,22 +330,23 @@ def test_expand_borwein_matches_unmirrored_oracle(series_upto_100):
         assert s.poly == oracle, n
 
 
-def off_by_one_once(monkeypatch) -> None:
-    """Make the first kernel output that reaches a_723 wrong by one there.
+def off_by_one_once(monkeypatch, index: int = 723) -> None:
+    """Make the first kernel output that reaches index wrong by one there.
 
     At n = 20, a_723 is the top computed term, D/2 + w. Later passes
     move that error only to exponents above it, which are cut, so
-    exactly one term computed past the midpoint is off by one.
+    exactly one term computed past the midpoint is off by one. A window
+    that starts at K holds a_723 at index 723 - K.
     """
     kernel = qpoly._sparse_step
     armed = True
 
-    def broken(p, m):
+    def broken(p, m, below):
         nonlocal armed
-        out = kernel(p, m)
-        if armed and len(out) > 723:
+        out = kernel(p, m, below)
+        if armed and len(out) > index:
             armed = False
-            out[723] += 1
+            out[index] += 1
         return out
 
     monkeypatch.setattr(qpoly, "_sparse_step", broken)
@@ -357,3 +362,137 @@ def test_overlap_check_catches_one_wrong_term(monkeypatch):
         expand_product(borwein20)
     off_by_one_once(monkeypatch)
     assert cli.run(["verify", "--n", "20"]) == 3
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_polys)
+def test_eval_at_plus_minus_one_matches_horner(p):
+    for x in (1, -1):
+        horner = 0
+        for c in reversed(p.coeffs):
+            horner = horner * x + c
+        assert eval_at(p, x) == horner
+
+
+# ---------------------------------------------------------------------------
+# the passes split between this process and a forked helper
+
+
+@pytest.fixture
+def split_always(monkeypatch) -> list[int]:
+    """Split every expansion; the list collects each split point chosen."""
+    if not qpoly._may_fork():
+        pytest.skip("needs fork and a second CPU")
+    monkeypatch.setattr(qpoly, "_SPLIT_WORK", 0)
+    splits: list[int] = []
+    choose = qpoly._split_point
+
+    def spy(lengths):
+        splits.append(choose(lengths))
+        return splits[-1]
+
+    monkeypatch.setattr(qpoly, "_split_point", spy)
+    return splits
+
+
+def kept_terms(spec: ProductSpec) -> int:
+    """expand_product's keep: the top exponent its passes compute."""
+    w = spec.modulus * spec.upper_index + max(spec.residues)
+    top = min(spec.full_degree // 2 + w, spec.full_degree)
+    return top if spec.truncation is None else min(top, spec.truncation)
+
+
+SPLIT_SPECS = [
+    ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=20),
+    ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=9, multiplicity=2),
+    ProductSpec(modulus=5, residues=frozenset({1, 2, 3, 4}), upper_index=7),
+    ProductSpec(modulus=3, residues=frozenset({1}), upper_index=6),
+    ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=12, truncation=90),
+    ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=12, truncation=300),
+    ProductSpec(modulus=7, residues=frozenset({5, 6}), upper_index=5),
+]
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=str)
+def test_split_expansion_matches_serial(split_always, spec):
+    expanded = expand_product(spec)
+    assert len(split_always) == 1 and 0 < split_always[0] <= kept_terms(spec)
+    assert expanded == unmirrored(spec)
+
+
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=str)
+def test_split_at_the_window_edges_matches_serial(split_always, monkeypatch, spec):
+    # K = 1 and 2 lie below the first exponent of the mod-7 spec, so the
+    # boundary terms reach below exponent 0; K = keep leaves the helper one term
+    keep = kept_terms(spec)
+    for k in (1, 2, keep - 1, keep):
+        if 0 < k <= keep:
+            monkeypatch.setattr(qpoly, "_split_point", lambda lengths: k)
+            assert expand_product(spec) == unmirrored(spec), k
+
+
+def test_overlap_check_catches_one_wrong_upper_window_term(split_always, monkeypatch):
+    # the lower window [0, 300) never outputs more than 300 + 62 terms, so
+    # only the helper's window reaches index 423, which holds a_723
+    monkeypatch.setattr(qpoly, "_split_point", lambda lengths: 300)
+    off_by_one_once(monkeypatch, 723 - 300)
+    borwein20 = ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=20)
+    with pytest.raises(MirrorMismatchError, match=r"a_723 = \d+, but its mirror a_600 "):
+        expand_product(borwein20)
+    assert multiprocessing.active_children() == []
+
+
+def test_lost_helper_raises_and_leaves_no_process(split_always, monkeypatch):
+    kernel = qpoly._sparse_step
+    parent = os.getpid()
+
+    def helper_fails(p, m, below):
+        if os.getpid() != parent:
+            raise RuntimeError("helper lost")
+        return kernel(p, m, below)
+
+    monkeypatch.setattr(qpoly, "_sparse_step", helper_fails)
+    borwein20 = ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=20)
+    with pytest.raises(ChildProcessError, match=r"exited \(code 1\) before returning"):
+        expand_product(borwein20)
+    assert multiprocessing.active_children() == []
+    assert cli.run(["verify", "--n", "20"]) == 4
+    assert multiprocessing.active_children() == []
+
+
+def test_failing_parent_leaves_no_process(split_always, monkeypatch):
+    kernel = qpoly._sparse_step
+    parent = os.getpid()
+    calls = 0
+
+    def parent_fails(p, m, below):
+        nonlocal calls
+        if os.getpid() == parent:
+            calls += 1
+            if calls == 20:
+                raise RuntimeError("parent fails")
+        return kernel(p, m, below)
+
+    monkeypatch.setattr(qpoly, "_sparse_step", parent_fails)
+    borwein20 = ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=20)
+    with pytest.raises(RuntimeError, match="parent fails"):
+        expand_product(borwein20)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_workers_never_fork_a_helper():
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        assert pool.submit(qpoly._may_fork).result() is False
+
+
+def test_split_point_balances_the_windows():
+    # n = 250: the lower window takes about 0.43 of the kept terms
+    spec = ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=250)
+    keep = kept_terms(spec)
+    lengths = list(itertools.accumulate(
+        spec.exponents(), lambda n, m: min(n + m, keep + 1), initial=1
+    ))[1:]
+    assert sum(lengths) >= qpoly._SPLIT_WORK
+    assert 0.40 < qpoly._split_point(lengths) / keep < 0.46
+    # a product that never outgrows one term cannot be shared
+    assert qpoly._split_point([1, 1, 1]) == 0

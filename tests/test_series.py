@@ -185,7 +185,7 @@ def test_partial_sums_total_is_zero(series_upto_100):
 
 def test_partial_sum_violations_flag_only_nonpositive_multiples_of_three():
     # zero and negative entries at 3 | b fail, in ascending residue order;
-    # the entries at 3 ∤ b are all <= 0 here and never flagged
+    # the entries at 3 ∤ b are never flagged, not even 7 at b = 7
     sums = (0, -1, 0, 5, 0, -3, -2, 7, -4)
     assert partial_sum_violations(sums, 2, "claim") == [
         Violation("claim", location={"n": 2, "residue": 0}, value=0, expected=">0"),
