@@ -5,17 +5,17 @@ ReportDocuments (NDJSON: one JSON object per parameter point, ascending)
 plus optional CSV coefficient dumps. `expand` dumps one product; every
 other subcommand is a sweep and one row of a table, _SWEEPS (ranges of
 n) or _PRIME_SWEEPS (primes p). The parser is built from the tables,
-and one driver, _sweep, runs any row: points, manifest, blocks, log,
-emit and exit code. Block workers are generators that yield one report
-per point, ascending. Inside a block, verify, identity and conjecture23
-grow each point's product from the previous point's instead of
-expanding it again. Serially the whole range is one block and every
-point's line is logged, written, flushed and recorded in the manifest
-as soon as the point finishes; --jobs splits the range into one block
-per worker and writes each block's lines, in ascending order, once that
-block is done. Output is order-deterministic; with SOURCE_DATE_EPOCH
-set, reruns are byte-identical. A run that aborts keeps the lines and
-manifest entries of the points it finished.
+and one driver, _sweep, runs any row: points, manifest, pool, log, emit
+and exit code. A row's point function returns one point's report; it
+names products by ProductSpec, and expand_product grows each index's
+product from the previous index's, so this module holds no factor
+exponents. Serially every point's line is logged, written, flushed and
+recorded in the manifest as soon as the point finishes; --jobs gives
+each worker one contiguous chunk of the range and writes a chunk's
+lines, in ascending order, once that chunk is done. Output is
+order-deterministic; with SOURCE_DATE_EPOCH set, reruns are
+byte-identical. A run that aborts keeps the lines and manifest entries
+of the points it finished.
 
 Exit codes: 0 all checks pass; 1 a claim check failed; 2 usage or
 parameter error (including unwritable destinations and manifest
@@ -34,18 +34,11 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from itertools import count
 from typing import Callable, Iterator, Sequence, TextIO
 
 from . import modcount, partitions, series
-from .qpoly import (
-    IntPolynomial,
-    ProductSpec,
-    eval_at,
-    expand_product,
-    mul_sparse_factor,
-)
+from .qpoly import IntPolynomial, ProductSpec, eval_at, expand_product
 from .report import (
     TOOL_VERSION,
     CrossCheck,
@@ -61,64 +54,26 @@ MANIFEST_FORMAT = 1
 
 
 # ---------------------------------------------------------------------------
-# block workers (top-level so process pools can pickle them)
+# point functions (top-level so process pools can pickle them)
 #
-# A worker takes an ascending list of points and yields one report per
-# point, in order, as each point finishes. The Borwein-family workers
-# chain inside the block: its first point expands from scratch, and each
-# later index multiplies the previous index's products by its own factors.
+# Each takes one index and returns its report. The products come from
+# expand_product, which grows a family's next index from the one before,
+# so an ascending range chains with no code here. partial-sums and
+# modcount look their module function up on every call, so a function
+# rebound after this module is imported (by a tracer or a test) runs.
 
 
-def _chain(
-    command: str,
-    label: str,
-    points: Sequence[int],
-    start: Callable[[int], list[IntPolynomial]],
-    steps: Callable[[int], list[tuple[int, ...]]],
-    check: Callable[..., ReportDocument],
-) -> Iterator[ReportDocument]:
-    """Reports for `points`, each product grown from the previous index.
-
-    start(n) expands the products of the block's first point; steps(n)
-    lists, per product, the exponents m of the factors (1 - q^m) that
-    take index n-1 to n. Indices between points are walked through but
-    not reported. check(doc, n, *products) finishes one point's report.
-    """
-    wanted = set(points)
-    products: list[IntPolynomial] = []
-    for n in range(points[0], points[-1] + 1):
-        doc = new_report(command, {label: n}) if n in wanted else None
-        if not products:
-            products = start(n)
-        else:
-            for i, exponents in enumerate(steps(n)):
-                for m in exponents:
-                    # Rebind after every pass: a helper doing several
-                    # passes while its caller still holds the input would
-                    # keep a third coefficient generation alive.
-                    products[i] = mul_sparse_factor(products[i], m)
-        if doc is not None:
-            yield check(doc, n, *products)
-
-
-def _borwein_start(n: int) -> list[IntPolynomial]:
-    return [series.expand_borwein(n).poly]
-
-
-def _borwein_steps(n: int) -> list[tuple[int, ...]]:
-    return [(3 * n + 1, 3 * n + 2)]
-
-
-def _verify_checks(doc: ReportDocument, n: int, poly: IntPolynomial) -> ReportDocument:
+def _verify_point(n: int) -> ReportDocument:
     """Sign pattern plus the structural facts for a single n.
 
-    On a block's first point the product comes from expand_product, which
-    mirrors its upper half, so `palindromic` holds by construction there:
-    what backs it is expand_product's check that the terms it computes
-    past the midpoint equal their mirrors. On later points of a block the
-    product is grown by full sparse passes, and the check is direct.
+    A product expanded from scratch mirrors its upper half, so
+    `palindromic` holds by construction there: what backs it is
+    expand_product's check that the terms it computes past the midpoint
+    equal their mirrors. A product grown from the previous index is made
+    by full sparse passes, and the check is direct.
     """
-    s = series.BorweinSeries(n=n, poly=poly)
+    doc = new_report("verify", {"n": n})
+    s = series.expand_borwein(n)
     doc.violations.extend(series.check_sign_pattern(s))
     expected_degree = 3 * (n + 1) * (n + 1)
     doc.cross_checks.append(
@@ -135,22 +90,19 @@ def _verify_checks(doc: ReportDocument, n: int, poly: IntPolynomial) -> ReportDo
     return doc.finish()
 
 
-def verify_block(points: Sequence[int]) -> Iterator[ReportDocument]:
-    return _chain("verify", "n", points, _borwein_start, _borwein_steps, _verify_checks)
+def _partial_sums_point(n: int) -> ReportDocument:
+    return series.verify_partial_sums(n)
 
 
-def partial_sums_block(points: Sequence[int]) -> Iterator[ReportDocument]:
-    return (series.verify_partial_sums(n) for n in points)
+def _modcount_point(n: int) -> ReportDocument:
+    return modcount.cross_validate(n)
 
 
-def modcount_block(points: Sequence[int]) -> Iterator[ReportDocument]:
-    return (modcount.cross_validate(n) for n in points)
-
-
-def _identity_checks(doc: ReportDocument, m: int, poly: IntPolynomial) -> ReportDocument:
+def _identity_point(m: int) -> ReportDocument:
     """Alternating q-binomial sum vs the A-component of the product."""
+    doc = new_report("identity", {"m": m})
+    via_product = series.decompose_abc(series.expand_borwein(m - 1)).a
     via_binomials = series.a_via_qbinomial(m)
-    via_product = series.decompose_abc(series.BorweinSeries(n=m - 1, poly=poly)).a
     if via_binomials == via_product:
         doc.cross_checks.append(CrossCheck("a_polynomial", "match", "match"))
     else:
@@ -170,57 +122,20 @@ def _identity_checks(doc: ReportDocument, m: int, poly: IntPolynomial) -> Report
     return doc.finish()
 
 
-def identity_block(points: Sequence[int]) -> Iterator[ReportDocument]:
-    return _chain(
-        "identity",
-        "m",
-        points,
-        lambda m: _borwein_start(m - 1),
-        lambda m: _borwein_steps(m - 1),
-        _identity_checks,
-    )
-
-
-def _conjecture23_start(n: int) -> list[IntPolynomial]:
-    return [
-        expand_product(
-            ProductSpec(
-                modulus=3, residues=frozenset({1, 2}), upper_index=n, multiplicity=2
-            )
-        ),
-        expand_product(
-            ProductSpec(modulus=5, residues=frozenset({1, 2, 3, 4}), upper_index=n)
-        ),
-    ]
-
-
-def _conjecture23_steps(n: int) -> list[tuple[int, ...]]:
-    return [
-        (3 * n + 1, 3 * n + 1, 3 * n + 2, 3 * n + 2),
-        (5 * n + 1, 5 * n + 2, 5 * n + 3, 5 * n + 4),
-    ]
-
-
-def _conjecture23_checks(
-    doc: ReportDocument, n: int, squared: IntPolynomial, mod5: IntPolynomial
-) -> ReportDocument:
+def _conjecture23_point(n: int) -> ReportDocument:
     """Sign sweeps for the squared (mod 3) and mod-5 product variants."""
+    doc = new_report("conjecture23", {"n": n})
+    squared = expand_product(
+        ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=n, multiplicity=2)
+    )
+    mod5 = expand_product(
+        ProductSpec(modulus=5, residues=frozenset({1, 2, 3, 4}), upper_index=n)
+    )
     doc.violations.extend(sign_violations(squared, 3, n, kind="sign-squared"))
     doc.violations.extend(sign_violations(mod5, 5, n, kind="sign-mod5"))
     doc.data["squared_degree"] = squared.degree
     doc.data["mod5_degree"] = mod5.degree
     return doc.finish()
-
-
-def conjecture23_block(points: Sequence[int]) -> Iterator[ReportDocument]:
-    return _chain(
-        "conjecture23",
-        "n",
-        points,
-        _conjecture23_start,
-        _conjecture23_steps,
-        _conjecture23_checks,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +214,26 @@ class Manifest:
 # ---------------------------------------------------------------------------
 # subcommand tables
 #
-# _SWEEPS: range command -> (help, lowest index, point label, block worker).
+# _SWEEPS: range command -> (help, lowest index, point label, point function).
 # _PRIME_SWEEPS: prime command -> (help, bound flag, its default, name of
 # the `partitions` worker called as worker(p, bound), default primes).
 # Prime workers are stored by name and looked up on every call, so a
 # function rebound in `partitions` after this module is imported (by a
 # tracer or a test) is the one that runs.
 
-_SWEEPS: dict[str, tuple[str, int, str, Callable[[Sequence[int]], Iterator[ReportDocument]]]] = {
-    "verify": ("sign-pattern sweep over a range of n", 0, "n", verify_block),
+_SWEEPS: dict[str, tuple[str, int, str, Callable[[int], ReportDocument]]] = {
+    "verify": ("sign-pattern sweep over a range of n", 0, "n", _verify_point),
     "partial-sums": (
-        "strict positivity of residue-class partial sums", 0, "n", partial_sums_block
+        "strict positivity of residue-class partial sums", 0, "n", _partial_sums_point
     ),
     "modcount": (
-        "cross-validate the signed subset-sum evaluators", 0, "n", modcount_block
+        "cross-validate the signed subset-sum evaluators", 0, "n", _modcount_point
     ),
     "identity": (
-        "alternating q-binomial form of the A-polynomial", 1, "m", identity_block
+        "alternating q-binomial form of the A-polynomial", 1, "m", _identity_point
     ),
     "conjecture23": (
-        "sign sweeps for the squared and mod-5 products", 0, "n", conjecture23_block
+        "sign sweeps for the squared and mod-5 products", 0, "n", _conjecture23_point
     ),
 }
 
@@ -396,27 +311,18 @@ def _resolve_range(
 # drivers
 
 
-def _block_list(
-    block_worker: Callable[[Sequence[int]], Iterator[ReportDocument]],
-    points: Sequence[int],
-) -> list[ReportDocument]:
-    """A whole block's reports as a list: a pool can send that back, not a generator."""
-    return list(block_worker(points))
-
-
 def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Run a command of either table; returns the exit code.
 
-    The points run as contiguous blocks, merged in ascending order.
-    Serially they form one block, and each point is logged, written and
-    recorded in the manifest as soon as it finishes. Under --jobs they
-    split into one block per worker, with min(jobs, len(points),
-    os.cpu_count()) workers: every extra block starts its chain from
-    scratch, and a block's points go out once the block is done. The
-    --json destination is opened, and the manifest written once, before
-    any point runs, so an unwritable one fails at once. The exit code is
-    that of the worst status among the new reports and the manifest's
-    reused entries.
+    The points run in ascending order. Serially each point is logged,
+    written and recorded in the manifest as soon as it finishes. Under
+    --jobs, min(jobs, len(points), os.cpu_count()) workers each take one
+    contiguous chunk of the range, whose first point expands from scratch
+    unless that worker has just run the point before it; a chunk's
+    points go out once the chunk is done. The --json destination is
+    opened, and the manifest written once, before any point runs, so an
+    unwritable one fails at once. The exit code is that of the worst
+    status among the new reports and the manifest's reused entries.
     """
     command = args.subcommand
     if args.jobs < 1:
@@ -425,7 +331,7 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         # saving the manifest would replace the report file being written
         parser.error("--json and --manifest must name different files")
     if command in _SWEEPS:
-        _, minimum, label, block_worker = _SWEEPS[command]
+        _, minimum, label, point_fn = _SWEEPS[command]
         points = _resolve_range(parser, args, minimum)
     else:
         _, flag, _, worker, primes = _PRIME_SWEEPS[command]
@@ -436,8 +342,8 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         points = [args.p] if args.p is not None else list(primes)
 
         # nested, so never sent to a pool: prime commands have no --jobs
-        def block_worker(ps: Sequence[int]) -> Iterator[ReportDocument]:
-            return (getattr(partitions, worker)(p, bound) for p in ps)
+        def point_fn(p: int) -> ReportDocument:
+            return getattr(partitions, worker)(p, bound)
 
     manifest: Manifest | None = None
     statuses: list[str] = []
@@ -453,7 +359,7 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     with _open_json(args.json) as out:
         if manifest is not None:
             manifest.save()
-        docs = _run_blocks(block_worker, points, args.jobs)
+        docs = _run_points(point_fn, points, args.jobs)
         for point, doc in zip(points, docs, strict=True):
             _log(f"{command} {label}={point} {doc.status}")
             if out is not None:
@@ -466,28 +372,20 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return max((_EXIT_CODES[s] for s in statuses), default=0)
 
 
-def _run_blocks(
-    block_worker: Callable[[Sequence[int]], Iterator[ReportDocument]],
-    points: list[int],
-    jobs: int,
+def _run_points(
+    point_fn: Callable[[int], ReportDocument], points: list[int], jobs: int
 ) -> Iterator[ReportDocument]:
     """Every point's report, ascending.
 
     Serially a report comes as soon as its point finishes; under a pool
-    a block's reports come together once that block is done.
+    a chunk's reports come together once that chunk is done.
     """
     workers = min(jobs, len(points), os.cpu_count() or 1)
     if workers <= 1:
-        if points:
-            yield from block_worker(points)
+        yield from map(point_fn, points)
         return
-    blocks = [
-        points[i * len(points) // workers : (i + 1) * len(points) // workers]
-        for i in range(workers)
-    ]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for block in pool.map(partial(_block_list, block_worker), blocks):
-            yield from block
+        yield from pool.map(point_fn, points, chunksize=-(-len(points) // workers))
 
 
 def _expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:

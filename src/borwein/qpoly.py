@@ -12,7 +12,10 @@ returns the whole windowed product, and callers cut what they keep.
 expand_product runs one loop for every ProductSpec and cuts each pass
 back to the terms it keeps: the lower half plus an overlap that is
 checked against its mirror, or a shorter prefix when
-ProductSpec.truncation (the one truncation) asks for less. A large
+ProductSpec.truncation (the one truncation) asks for less. It holds the
+last untruncated product of at most two families and grows a family's
+next index from it by that index's factors alone, so a sweep over n
+chains its expansions without knowing which factors those are. A large
 expansion splits its passes by coefficient index: this process runs the
 window [0, K) and a forked helper the window [K, keep], fed the m
 boundary terms below K before each pass, so both compute every term by
@@ -293,16 +296,6 @@ class ProductSpec:
                 for _ in range(self.multiplicity):
                     yield base + r
 
-    @property
-    def full_degree(self) -> int:
-        """Degree of the untruncated expansion: sum of all factor exponents."""
-        residues = sorted(self.residues)
-        per_block = len(residues)
-        j_sum = self.upper_index * (self.upper_index + 1) // 2
-        return self.multiplicity * (
-            self.modulus * per_block * j_sum + sum(residues) * (self.upper_index + 1)
-        )
-
 
 # ---------------------------------------------------------------------------
 # the passes of expand_product, on one core or split between two (internal)
@@ -310,7 +303,7 @@ class ProductSpec:
 _SPLIT_WORK = 10**7
 """Pass work, in coefficient operations, from which the passes are split."""
 
-_HELPER_EXIT_S = 5.0
+_HELPER_EXIT_S = 5
 """Seconds a helper is given to exit after its pipe closes."""
 
 
@@ -435,13 +428,26 @@ def _expand_passes(spec: ProductSpec, passes: list[int], keep: int) -> list[int]
     return lower
 
 
+_held: dict[tuple[int, frozenset[int], int], tuple[int, IntPolynomial]] = {}
+"""The last untruncated product of at most two spec families, keyed by
+(modulus, residues, multiplicity): the family's upper_index and product."""
+
+
 def expand_product(spec: ProductSpec) -> IntPolynomial:
     """Expand the product described by spec exactly.
 
-    One sparse-factor pass per factor, ascending exponent order, each
-    cut back to the terms up to keep; factors whose exponent is past
-    keep cannot change those terms and are skipped. A product of k
-    factors (1 - q^m) of total degree D satisfies a_{D-j} = (-1)^k a_j,
+    An untruncated product is held, the last one of each of at most two
+    families (modulus, residues, multiplicity), and the family's next
+    index is grown from it: its entry is removed, and it is multiplied
+    by that index's factors alone, one full sparse pass each. Every other
+    request (a gap, the same index, a lower index, a truncated spec)
+    expands from scratch, so an index never walks through the ones it
+    skips and a single point always takes the checked path below.
+
+    From scratch: one sparse-factor pass per factor, ascending exponent
+    order, each cut back to the terms up to keep; factors whose exponent
+    is past keep cannot change those terms and are skipped. A product of
+    k factors (1 - q^m) of total degree D satisfies a_{D-j} = (-1)^k a_j,
     so keep is D/2 + w, with w the largest factor exponent, and the rest
     is mirrored from the lower half. The terms computed past the
     midpoint (and the middle term, for even D) must equal their mirrors,
@@ -463,14 +469,38 @@ def expand_product(spec: ProductSpec) -> IntPolynomial:
     helper that exits before returning its terms raises
     ChildProcessError.
     """
-    D = spec.full_degree
-    top = min(D // 2 + spec.modulus * spec.upper_index + max(spec.residues), D)
+    exponents = list(spec.exponents())
+    if spec.truncation is not None:
+        return _expand_fresh(spec, exponents)
+    family = (spec.modulus, spec.residues, spec.multiplicity)
+    held = _held.pop(family, None)
+    if held is not None and held[0] == spec.upper_index - 1:
+        coeffs = held[1].coeffs
+        del held
+        for m in exponents[-len(spec.residues) * spec.multiplicity :]:
+            # Rebind after every pass: holding the input while the next
+            # pass runs would keep a third coefficient generation alive.
+            coeffs = _sparse_step(coeffs, m, [0] * m)
+        product = IntPolynomial(coeffs)
+    else:
+        del held  # a product this request cannot grow from is let go first
+        product = _expand_fresh(spec, exponents)
+    _held[family] = (spec.upper_index, product)
+    if len(_held) > 2:
+        del _held[next(iter(_held))]
+    return product
+
+
+def _expand_fresh(spec: ProductSpec, exponents: list[int]) -> IntPolynomial:
+    """spec's product from scratch: halved, mirrored, overlap-checked, split."""
+    D = sum(exponents)
+    top = min(D // 2 + exponents[-1], D)
     keep = top if spec.truncation is None else min(top, spec.truncation)
-    passes = list(takewhile(keep.__ge__, spec.exponents()))
+    passes = list(takewhile(keep.__ge__, exponents))
     coeffs = _expand_passes(spec, passes, keep)
     if keep < top:
         return IntPolynomial(coeffs)
-    odd = spec.multiplicity * len(spec.residues) * (spec.upper_index + 1) % 2
+    odd = len(exponents) % 2
     mid = D - D // 2
     mirrored = coeffs[D - top : D // 2 + 1][::-1]
     if odd:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -118,6 +119,67 @@ def test_verify_structural_checks_fail_on_a_corrupted_product(tmp_path, monkeypa
     assert doc["violations"] == []
     failed = {c["name"]: c["actual"] for c in doc["cross_checks"] if not c["agree"]}
     assert failed == {"endpoints": "8,1", "palindromic": "False", "value_at_1": "7"}
+
+
+def bumped(values, index: int) -> tuple[int, ...]:
+    """values with 1 added at index."""
+    return (*values[:index], values[index] + 1, *values[index + 1 :])
+
+
+def bumped_table(table):
+    """A signed-count table with M(1, 2) one too large; signed is untouched."""
+    counts = list(table.counts)
+    counts[1] = bumped(counts[1], 2)
+    return dataclasses.replace(table, counts=tuple(counts))
+
+
+# One corrupted value per row: the command, the function whose result is
+# corrupted, how, the exit code, and the located message on stdout or stderr.
+# At n = 1, N = 6: the DP's M(1, 2) is 1 and its M(3) is 2; a_{15} of the
+# p = 5 eta quotient is 4, the two-term formula's value at k = 3.
+FAILURE_PATHS = [
+    pytest.param(
+        ("verify", "--n", "3"), "series", "expand_borwein",
+        lambda s: cli.series.BorweinSeries(s.n, IntPolynomial((*s.poly.coeffs, 1))),
+        1, '{"name": "degree", "expected": "48", "actual": "49", "agree": false}',
+        id="verify-degree",
+    ),
+    pytest.param(
+        ("modcount", "--n", "1"), "modcount", "divisor_formula_table", bumped_table,
+        3, "dp vs divisor-formula disagree at (N=6, k=1, b=2): 1 != 2",
+        id="modcount-divisor-table",
+    ),
+    pytest.param(
+        ("modcount", "--n", "1"), "modcount", "enumerate_signed_counts", bumped_table,
+        3, "dp vs enumeration disagree at (N=6, k=1, b=2): 1 != 2",
+        id="modcount-enumeration",
+    ),
+    pytest.param(
+        ("modcount", "--n", "1"), "modcount", "residue_partial_sums",
+        lambda sums: bumped(sums, 3),
+        3, "partial sums vs dp signed disagree at (N=6, b=3): 3 != 2",
+        id="modcount-partial-sums",
+    ),
+    pytest.param(
+        ("stanley", "--p", "5", "--k-max", "10"), "partitions", "eta_quotient_coeffs",
+        lambda prefix: bumped(prefix, 15),
+        1, '{"kind": "partition-formula-mismatch", "location": {"p": 5, "k": 3}, '
+        '"value": 5, "expected": "4"}',
+        id="stanley-partition-formula",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, module, name, corrupt, code, message", FAILURE_PATHS)
+def test_check_fails_at_the_corrupted_value(
+    monkeypatch, capsys, argv, module, name, corrupt, code, message
+):
+    layer = getattr(cli, module)
+    exact = getattr(layer, name)
+    monkeypatch.setattr(layer, name, lambda *args: corrupt(exact(*args)))
+    assert run_cli(*argv, "--json", "-") == code
+    out, err = capsys.readouterr()
+    assert message in out + err
 
 
 def test_modcount_subcommand(tmp_path):
@@ -310,9 +372,9 @@ def test_manifest_naming_the_json_file_is_usage_error(tmp_path, monkeypatch, cap
     # saving the manifest would replace the report file being written
     calls: list[int] = []
 
-    def recorder(points):
-        calls.extend(points)
-        return iter(())
+    def recorder(n: int):
+        calls.append(n)
+        return new_report("verify", {"n": n}).finish()
 
     monkeypatch.setitem(cli._SWEEPS, "verify", cli._SWEEPS["verify"][:3] + (recorder,))
     monkeypatch.chdir(tmp_path)
@@ -367,9 +429,9 @@ def test_unwritable_json_destination_fails_before_any_point(tmp_path, monkeypatc
 def test_unwritable_manifest_fails_before_any_point(tmp_path, monkeypatch, capsys):
     calls: list[int] = []
 
-    def recorder(points):
-        calls.extend(points)
-        return (new_report("modcount", {"n": n}).finish() for n in points)
+    def recorder(n: int):
+        calls.append(n)
+        return new_report("modcount", {"n": n}).finish()
 
     modcount_row = cli._SWEEPS["modcount"][:3] + (recorder,)
     monkeypatch.setitem(cli._SWEEPS, "modcount", modcount_row)
@@ -429,51 +491,42 @@ def test_split_expansion_output_matches_unsplit(monkeypatch, capsys, argv):
     assert run_cli(*argv) == 0
     assert capsys.readouterr().out == unsplit
     assert len(unsplit.splitlines()) == 5
-    assert len(splits) == (0 if "--jobs" in argv else 5)
+    # serially only the first point expands, the rest chain from it
+    assert len(splits) == (0 if "--jobs" in argv else 1)
 
 
-def per_point_ndjson(block, points) -> bytes:
-    """NDJSON of each point run as a block of its own."""
-    return "".join(report_to_json(next(block([p]))) + "\n" for p in points).encode()
+def per_point_ndjson(point, points) -> bytes:
+    """NDJSON of each point run on its own, its products expanded from scratch."""
+    lines = []
+    for p in points:
+        qpoly._held.clear()
+        lines.append(report_to_json(point(p)) + "\n")
+    return "".join(lines).encode()
 
 
-def test_chained_products_match_fresh_expansion(series_upto_100):
-    def borwein_fresh(doc, n, poly):
-        return poly == series_upto_100[n].poly
-
-    def conjecture23_fresh(doc, n, squared, mod5):
-        return squared == expand_product(
-            ProductSpec(modulus=3, residues={1, 2}, upper_index=n, multiplicity=2)
-        ) and mod5 == expand_product(
-            ProductSpec(modulus=5, residues={1, 2, 3, 4}, upper_index=n)
-        )
-
-    points = range(61)
-    assert list(cli._chain(
-        "verify", "n", points, cli._borwein_start, cli._borwein_steps, borwein_fresh
-    )) == [True] * 61
-    assert list(cli._chain(
-        "conjecture23",
-        "n",
-        points,
-        cli._conjecture23_start,
-        cli._conjecture23_steps,
-        conjecture23_fresh,
-    )) == [True] * 61
+def upper_indices(specs) -> list[int]:
+    return [spec.upper_index for spec in specs]
 
 
 @pytest.mark.parametrize("command", ["verify", "conjecture23", "identity"])
-def test_chained_sweep_matches_per_point_reports(tmp_path, monkeypatch, command):
+def test_chained_sweep_matches_per_point_reports(
+    tmp_path, monkeypatch, fresh_expansions, command
+):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755590400")
     out = tmp_path / "chained.ndjson"
     assert run_cli(command, "--n-min", "5", "--n-max", "25", "--json", str(out)) == 0
-    block = cli._SWEEPS[command][3]
-    assert out.read_bytes() == per_point_ndjson(block, range(5, 26))
+    # the first point's products come from scratch, every later one is chained;
+    # identity at m reads P_{m-1}
+    assert upper_indices(fresh_expansions) == {
+        "verify": [5], "conjecture23": [5, 5], "identity": [4]
+    }[command]
+    point = cli._SWEEPS[command][3]
+    assert out.read_bytes() == per_point_ndjson(point, range(5, 26))
 
 
-@pytest.mark.parametrize("first_range", [(0, 3), (4, 6)])
-def test_manifest_resume_chains_through_completed_points(
-    tmp_path, monkeypatch, first_range
+@pytest.mark.parametrize("first_range, fresh_after", [((0, 3), []), ((4, 6), [0, 7])])
+def test_manifest_resume_expands_fresh_after_a_gap(
+    tmp_path, monkeypatch, fresh_expansions, first_range, fresh_after
 ):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755590400")
     manifest = tmp_path / "m.json"
@@ -486,6 +539,8 @@ def test_manifest_resume_chains_through_completed_points(
         == 0
     )
     out = tmp_path / "resumed.ndjson"
+    # the held P_hi grows into P_{hi+1}; a gap or a lower index starts afresh
+    del fresh_expansions[:]
     assert (
         run_cli(
             "verify", "--n-min", "0", "--n-max", "9",
@@ -493,8 +548,9 @@ def test_manifest_resume_chains_through_completed_points(
         )
         == 0
     )
+    assert upper_indices(fresh_expansions) == fresh_after
     remaining = [n for n in range(10) if not lo <= n <= hi]
-    assert out.read_bytes() == per_point_ndjson(cli.verify_block, remaining)
+    assert out.read_bytes() == per_point_ndjson(cli._SWEEPS["verify"][3], remaining)
 
 
 @pytest.mark.parametrize(
@@ -517,15 +573,15 @@ def test_jobs_blocks_match_serial(tmp_path, monkeypatch, command, lo):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-@pytest.mark.parametrize("cpus, expected", [(4, [4]), (None, [])])
+@pytest.mark.parametrize("cpus, expected", [(4, [(4, 6)]), (None, [])])
 def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch, cpus, expected):
-    requested: list[int] = []
+    requested: list[tuple[int, int]] = []
 
     class InlinePool:
-        """Records max_workers and runs map inline, starting no process."""
+        """Records max_workers and chunksize and runs map inline, starting no process."""
 
         def __init__(self, max_workers: int) -> None:
-            requested.append(max_workers)
+            self.max_workers = max_workers
 
         def __enter__(self):
             return self
@@ -533,7 +589,8 @@ def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch, cpus, expected):
         def __exit__(self, *exc) -> None:
             return None
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize):
+            requested.append((self.max_workers, chunksize))
             return map(fn, items)
 
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755590400")
@@ -544,7 +601,8 @@ def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch, cpus, expected):
     span = ("--n-min", "0", "--n-max", "20")
     assert run_cli("verify", *span, "--json", str(serial)) == 0
     assert run_cli("verify", *span, "--jobs", "64", "--json", str(wide)) == 0
-    # an unknown cpu count means one worker, which needs no pool
+    # 21 points in chunks of 6 for 4 workers; an unknown cpu count means
+    # one worker, which needs no pool
     assert requested == expected
     assert serial.read_bytes() == wide.read_bytes()
 
@@ -605,14 +663,14 @@ def test_aborted_sweep_keeps_finished_points(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli.modcount, "cross_validate", fails_at_3)
     assert run_cli("modcount", *span, "--json", str(out)) == 3
-    assert out.read_bytes() == per_point_ndjson(cli.modcount_block, range(3))
+    assert out.read_bytes() == per_point_ndjson(cli._SWEEPS["modcount"][3], range(3))
     saved = json.loads(manifest.read_text())
     assert set(map(int, saved["completed"])) == {0, 1, 2}
 
     monkeypatch.setattr(cli.modcount, "cross_validate", cross_validate)
     rerun = tmp_path / "rerun.ndjson"
     assert run_cli("modcount", *span, "--json", str(rerun)) == 0
-    assert rerun.read_bytes() == per_point_ndjson(cli.modcount_block, range(3, 6))
+    assert rerun.read_bytes() == per_point_ndjson(cli._SWEEPS["modcount"][3], range(3, 6))
     saved = json.loads(manifest.read_text())
     assert set(map(int, saved["completed"])) == set(range(6))
 
@@ -630,18 +688,19 @@ def test_range_sweep_streams_each_point(tmp_path, monkeypatch):
     assert lines_before == {n: n - 4 for n in range(4, 10)}
 
 
-def test_chained_sweep_streams_each_point(tmp_path, monkeypatch):
+def test_chained_sweep_streams_each_point(tmp_path, monkeypatch, fresh_expansions):
     out = tmp_path / "out.ndjson"
     lines_before: dict[int, int] = {}
-    check = cli._verify_checks
+    expand_borwein = cli.series.expand_borwein
 
-    def recording_check(doc, n, poly):
+    def recording_expand(n: int):
         lines_before[n] = len(out.read_bytes().splitlines())
-        return check(doc, n, poly)
+        return expand_borwein(n)
 
-    monkeypatch.setattr(cli, "_verify_checks", recording_check)
+    monkeypatch.setattr(cli.series, "expand_borwein", recording_expand)
     assert run_cli("verify", "--n-min", "2", "--n-max", "8", "--json", str(out)) == 0
     assert lines_before == {n: n - 2 for n in range(2, 9)}
+    assert upper_indices(fresh_expansions) == [2]
     assert len(read_ndjson(out)) == 7
 
 

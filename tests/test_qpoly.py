@@ -241,7 +241,7 @@ def test_expand_product_structure():
         ProductSpec(modulus=2, residues=frozenset({1}), upper_index=5, multiplicity=2),
     ):
         p = expand_product(spec)
-        assert p.degree == spec.full_degree
+        assert p.degree == sum(spec.exponents())
         assert p[0] == 1
         assert eval_at(p, 1) == 0
 
@@ -295,13 +295,14 @@ def product_specs(draw) -> ProductSpec:
         upper_index=draw(st.integers(0, 8)),
         multiplicity=draw(st.integers(1, 3)),
     )
-    half = spec.full_degree // 2
+    degree = sum(spec.exponents())
+    half = degree // 2
     w = modulus * spec.upper_index + max(spec.residues)
-    near_half = [half - 1, half, half + 1, half + w - 1, half + w, spec.full_degree]
+    near_half = [half - 1, half, half + 1, half + w - 1, half + w, degree]
     truncation = draw(
         st.none()
         | st.sampled_from([t for t in near_half if t >= 0])
-        | st.integers(0, spec.full_degree + 3)
+        | st.integers(0, degree + 3)
     )
     return dataclasses.replace(spec, truncation=truncation)
 
@@ -309,6 +310,7 @@ def product_specs(draw) -> ProductSpec:
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(product_specs())
 def test_expand_product_matches_unmirrored_oracle(spec):
+    qpoly._held.clear()  # examples of one family at consecutive indices would chain
     assert expand_product(spec) == unmirrored(spec)
 
 
@@ -328,6 +330,71 @@ def test_expand_borwein_matches_unmirrored_oracle(series_upto_100):
         oracle = mul_sparse_factor(oracle, 3 * n + 1)
         oracle = mul_sparse_factor(oracle, 3 * n + 2)
         assert s.poly == oracle, n
+
+
+# ---------------------------------------------------------------------------
+# held products: the next index of a family grows from the previous one
+
+
+def borwein_spec(n: int, truncation: int | None = None) -> ProductSpec:
+    return ProductSpec(modulus=3, residues={1, 2}, upper_index=n, truncation=truncation)
+
+
+def squared_spec(n: int) -> ProductSpec:
+    return ProductSpec(modulus=3, residues={1, 2}, upper_index=n, multiplicity=2)
+
+
+def mod5_spec(n: int) -> ProductSpec:
+    return ProductSpec(modulus=5, residues={1, 2, 3, 4}, upper_index=n)
+
+
+def test_chained_products_match_fresh_expansion(series_upto_100, fresh_expansions):
+    expected = {}
+    for n in range(61):
+        for spec in (squared_spec(n), mod5_spec(n)):
+            qpoly._held.clear()
+            expected[spec] = expand_product(spec)
+    qpoly._held.clear()
+    del fresh_expansions[:]
+    for n in range(61):
+        assert expand_product(borwein_spec(n)) == series_upto_100[n].poly, n
+    # conjecture23's two families alternate, as its sweep asks for them
+    for n in range(61):
+        for spec in (squared_spec(n), mod5_spec(n)):
+            assert expand_product(spec) == expected[spec], spec
+    assert fresh_expansions == [borwein_spec(0), squared_spec(0), mod5_spec(0)]
+
+
+@pytest.mark.parametrize(
+    "requests",
+    [
+        [(5, None, True), (6, None, False), (8, None, True)],  # a gap
+        [(5, None, True), (5, None, True), (6, None, False)],  # the same index
+        [(5, None, True), (4, None, True), (5, None, False)],  # a lower index
+        # a truncated spec neither reuses nor replaces the held product
+        [(5, None, True), (6, 40, True), (6, None, False)],
+    ],
+    ids=["gap", "same-index", "lower-index", "truncated"],
+)
+def test_only_the_next_index_reuses_the_held_product(fresh_expansions, requests):
+    for n, truncation, fresh in requests:
+        spec = borwein_spec(n, truncation)
+        del fresh_expansions[:]
+        assert expand_product(spec) == unmirrored(spec), spec
+        assert fresh_expansions == ([spec] if fresh else []), spec
+
+
+def test_at_most_two_families_are_held(fresh_expansions):
+    for spec in (borwein_spec(3), squared_spec(3), mod5_spec(3)):
+        expand_product(spec)
+    # keyed by (modulus, residues, multiplicity), oldest first
+    assert list(qpoly._held) == [(3, {1, 2}, 2), (5, {1, 2, 3, 4}, 1)]
+    assert [index for index, _ in qpoly._held.values()] == [3, 3]
+    # the oldest family was let go, so its next index expands from scratch
+    del fresh_expansions[:]
+    assert expand_product(borwein_spec(4)) == unmirrored(borwein_spec(4))
+    assert fresh_expansions == [borwein_spec(4)]
+    assert len(qpoly._held) == 2
 
 
 def off_by_one_once(monkeypatch, index: int = 723) -> None:
@@ -397,8 +464,8 @@ def split_always(monkeypatch) -> list[int]:
 
 def kept_terms(spec: ProductSpec) -> int:
     """expand_product's keep: the top exponent its passes compute."""
-    w = spec.modulus * spec.upper_index + max(spec.residues)
-    top = min(spec.full_degree // 2 + w, spec.full_degree)
+    degree = sum(spec.exponents())
+    top = min(degree // 2 + max(spec.exponents()), degree)
     return top if spec.truncation is None else min(top, spec.truncation)
 
 

@@ -184,6 +184,59 @@ def test_public_names_have_callers():
 MATH_MODULES = ("qpoly", "series", "modcount", "partitions", "exactmath")
 
 
+# The exactness contract allows true division only of Fractions, in these
+# functions (module, function); every other `/` in MATH_MODULES is a float.
+FRACTION_DIVISIONS = [("exactmath", "generalized_binomial"), ("modcount", "literal_closed_form")]
+INTEGER_MATH = {"comb", "factorial", "gcd", "isqrt", "lcm", "perm", "prod"}
+
+
+def enclosing_function(tree: ast.Module, node: ast.AST) -> str:
+    """Name of the innermost function whose lines hold node."""
+    holders = [
+        f
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef) and f.lineno <= node.lineno <= f.end_lineno
+    ]
+    return max(holders, key=lambda f: f.lineno).name if holders else "<module>"
+
+
+def test_math_modules_use_no_floats():
+    """No float can reach a claim from the source of MATH_MODULES.
+
+    Fails on a float or complex literal, the name `float`, `cmath`, a
+    `math` function outside INTEGER_MATH, and a true division `/` outside
+    FRACTION_DIVISIONS; a listed division that is gone fails as well.
+    """
+    found: list[str] = []
+    divisions: list[tuple[str, str]] = []
+    for layer in MATH_MODULES:
+        tree = ast.parse((SRC / f"{layer}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            problem = None
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                problem = f"literal {node.value!r}"
+            elif isinstance(node, ast.Name) and node.id == "float":
+                problem = "float"
+            elif isinstance(node, ast.Import) and "cmath" in {a.name for a in node.names}:
+                problem = "import cmath"
+            elif isinstance(node, ast.ImportFrom) and node.module in ("cmath", "math"):
+                if node.module == "cmath" or {a.name for a in node.names} - INTEGER_MATH:
+                    problem = f"from {node.module} import"
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "math"
+                and node.attr not in INTEGER_MATH
+            ):
+                problem = f"math.{node.attr}"
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                divisions.append((layer, enclosing_function(tree, node)))
+            if problem is not None:
+                found.append(f"{layer}.py:{node.lineno} {problem}")
+    assert found == []
+    assert sorted(divisions) == FRACTION_DIVISIONS
+
+
 def test_optional_parameters_are_set_by_src():
     """Every defaulted parameter of a public math function is passed in src.
 
