@@ -21,7 +21,7 @@ Exit codes: 0 all checks pass; 1 a claim check failed; 2 usage or
 parameter error (including unwritable destinations and manifest
 mismatches); 3 internal cross-validation failure (oracle mismatch,
 inexact division, or a mirrored expansion whose overlap disagrees); 4
-the helper process of a split expansion exited before returning its
+a helper process of a split expansion exited before returning its
 terms.
 """
 

@@ -314,6 +314,10 @@ def cross_validate(n: int) -> ReportDocument:
     the Borwein product == divisor_formula_eval(n), at every b.
     The claim M(b) > 0 for 3 | b goes to violations; literal-closed-form
     discrepancies against divisor_formula_eval go to data.
+
+    Each CrossCheck is appended only after _first_difference has passed
+    on the values it names, so the report's cross_checks record the
+    agreement that was checked; they cannot fail.
     """
     doc = new_report("modcount", {"n": n})
     N = 3 * (n + 1)

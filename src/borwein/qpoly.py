@@ -6,24 +6,25 @@ factor with plain Python ints as coefficients. pow_trunc raises the
 sparse closed-form bases of the divisor-class polynomials G_d by binary
 powering over a schoolbook product; despite its name it never truncates.
 The sparse kernel multiplies a window of coefficients, the terms from
-some offset K up, and takes the m terms below K as well: those are all
-a pass c_e = p_e - p_{e-m} reads from outside the window. It always
-returns the whole windowed product, and callers cut what they keep.
-expand_product runs one loop for every ProductSpec and cuts each pass
-back to the terms it keeps: the lower half plus an overlap that is
-checked against its mirror, or a shorter prefix when
-ProductSpec.truncation (the one truncation) asks for less. It holds the
-last untruncated product of at most two families and grows a family's
-next index from it by that index's factors alone, so a sweep over n
-chains its expansions without knowing which factors those are. A large
-expansion splits its passes by coefficient index: this process runs the
-window [0, K) and a forked helper the window [K, keep], fed the m
-boundary terms below K before each pass, so both compute every term by
-the same subtraction as one process would. The one
-divider, exact_div, divides by (1-q^k) as a running sum per residue
-class and raises on a remainder.
-Gaussian binomials use the same kernel: each step of the ratio
-recurrence over k is one sparse pass and one exact_div.
+some offset K up, given the m terms below K: those are all a pass
+c_e = p_e - p_{e-m} reads from outside the window. It returns the
+window's own terms and nothing past them. expand_product runs one loop
+for every ProductSpec and keeps only the terms it needs: the lower half
+plus an overlap that is checked against its mirror, or a shorter prefix
+when ProductSpec.truncation (the one truncation) asks for less. That
+loop is chunk-major: 2048 terms at a time go through every pass while
+they are in cache, each pass keeping the m input terms below the next
+chunk. It holds the last untruncated product of at most two families
+and grows a family's next index from it by that index's factors alone,
+so a sweep over n chains its expansions without knowing which factors
+those are. A large expansion cuts its passes in two at half their work
+and pipelines them through two forked helpers: the first streams each
+finished chunk to the second, which streams it on to this process.
+mul_sparse_factor and chained growth multiply a whole product at once.
+The one divider, exact_div, divides by (1-q^k) as a running sum per
+residue class and raises on a remainder. Gaussian binomials use
+mul_sparse_factor: each step of the ratio recurrence over k is one
+whole sparse pass and one exact_div.
 Degrees reach a few million and coefficients a few thousand bits, so
 the hot loops stay on raw lists and C-level map()/slice operations.
 """
@@ -34,9 +35,10 @@ import multiprocessing
 import os
 import sys
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat, takewhile
+from itertools import accumulate, chain, repeat, takewhile
 from multiprocessing.connection import Connection
 from operator import add, neg, sub
 from typing import Iterable, Iterator, Sequence
@@ -120,23 +122,24 @@ class IntPolynomial:
 # raw-list kernels (internal): no trimming
 
 def _sparse_step(p: Sequence[int], m: int, below: Sequence[int]) -> list[int]:
-    """The whole product of a window by (1 - q^m): c_e = p_e - p_{e-m}.
+    """A window's own terms of its product by (1 - q^m): c_e = p_e - p_{e-m}.
 
     The window p holds the terms from some offset K up, and below holds
-    the m terms p_{K-m}..p_{K-1} under it: zeros for the window at 0,
-    and for exponents below 0. The output starts at K as well and is
-    len(p) + m long. p may be a list or a tuple; each branch builds its
-    output as one list display, so no intermediate list is concatenated
-    and thrown away. Callers that keep a prefix cut it from the result.
+    exactly the m terms p_{K-m}..p_{K-1} under it, zeros for exponents
+    below 0. The output is the len(p) terms from K up; the m terms the
+    product has past the window are not computed. Each map stops at its
+    shorter input, so one list display serves m < len(p) and m >= len(p).
     """
-    n = len(p)
-    if m > n:
-        return [*map(sub, p, below), *map(neg, below[n:]), *map(neg, p)]
-    return [
-        *map(sub, p[:m], below),
-        *map(sub, p[m:], p[: n - m]),
-        *map(neg, p[n - m :]),
-    ]
+    return [*map(sub, p, below), *map(sub, p[m:], p)]
+
+
+def _sparse_product(p: Sequence[int], m: int) -> list[int]:
+    """The whole product p·(1 - q^m) of a polynomial from exponent 0.
+
+    p may be a list or a tuple; the output is built as one list display,
+    so no intermediate list is concatenated and thrown away.
+    """
+    return [*p[:m], *repeat(0, m - len(p)), *map(sub, p[m:], p), *map(neg, p[-m:])]
 
 
 def _mul_lists(p: Sequence[int], q: Sequence[int]) -> list[int]:
@@ -167,7 +170,7 @@ def mul_sparse_factor(P: IntPolynomial, m: int) -> IntPolynomial:
     """P · (1 - q^m)."""
     if m < 1:
         raise ValueError(f"sparse factor exponent must be >= 1, got {m}")
-    return IntPolynomial(_sparse_step(P.coeffs, m, [0] * m))
+    return IntPolynomial(_sparse_product(P.coeffs, m))
 
 
 def pow_trunc(P: IntPolynomial, e: int) -> IntPolynomial:
@@ -298,7 +301,11 @@ class ProductSpec:
 
 
 # ---------------------------------------------------------------------------
-# the passes of expand_product, on one core or split between two (internal)
+# the passes of expand_product, chunk by chunk, in this process or
+# pipelined through two forked helpers (internal)
+
+_CHUNK = 2048
+"""Terms per chunk: a chunk goes through every pass while it is in cache."""
 
 _SPLIT_WORK = 10**7
 """Pass work, in coefficient operations, from which the passes are split."""
@@ -308,7 +315,7 @@ _HELPER_EXIT_S = 5
 
 
 def _may_fork() -> bool:
-    """Whether this process may fork a helper onto a second core.
+    """Whether this process may fork helpers onto a second core.
 
     Not inside a multiprocessing child, so --jobs workers never double
     up, and not beside other threads, which fork does not copy.
@@ -325,107 +332,138 @@ def _may_fork() -> bool:
     )
 
 
-def _split_point(lengths: Sequence[int]) -> int:
-    """The split K that best balances the two windows; 0 if none helps.
+def _unit_chunks(keep: int) -> Iterator[list[int]]:
+    """The polynomial 1 through exponent keep, _CHUNK terms at a time."""
+    for start in range(0, keep + 1, _CHUNK):
+        chunk = [0] * min(_CHUNK, keep + 1 - start)
+        if not start:
+            chunk[0] = 1
+        yield chunk
 
-    Pass t outputs lengths[t] terms (non-decreasing, capped at keep + 1).
-    Split at K, the lower window does Σ min(len, K) operations and the
-    upper one Σ max(len - K, 0), which it can start only when the first
-    pass longer than K does: after the S_t operations of the t passes
-    not longer than K. With c = T - t such passes of T, the time is about
-    max(S_t + K·c, S_T - K·c); on each interval of K between consecutive
-    lengths t and c are fixed, so the two sides meet at K = (S_T - S_t)/2c.
+
+def _pass_chunks(
+    passes: Sequence[int], chunks: Iterable[list[int]], degree: int
+) -> Iterator[list[int]]:
+    """A product times ∏(1 - q^m) over passes, one chunk at a time.
+
+    chunks are the consecutive slices, from exponent 0 up, of a product
+    of the given degree. Each goes through every pass before the next
+    one is read, and comes out as the same slice of the result. Each
+    pass keeps the last m terms of its input read so far, which are the
+    terms just below the next chunk. A pass whose product ends below the
+    chunk would leave it zero, and is skipped; its product ends below
+    every later chunk too, so its kept terms are never read again.
     """
-    sums = list(accumulate(lengths, initial=0))
-    total, count = sums[-1], len(lengths)
-    best, split, lo = total, 0, 1
-    for t, hi in enumerate(lengths):
-        if lo < hi:
-            c = count - t
-            k = min(max((total - sums[t]) // (2 * c), lo), hi - 1)
-            cost = max(sums[t] + k * c, total - k * c)
-            if cost < best:
-                best, split = cost, k
-        lo = max(lo, hi)
-    return split
+    ends = list(accumulate(passes, initial=degree))[1:]
+    tails = [[0] * m for m in passes]
+    start = 0
+    for chunk in chunks:
+        width = len(chunk)
+        for t in range(bisect_left(ends, start), len(passes)):
+            m, tail = passes[t], tails[t]
+            out = _sparse_step(chunk, m, tail)
+            if m <= width:
+                tails[t] = chunk[width - m :]
+            else:
+                tail += chunk
+                del tail[:width]
+            chunk = out
+        start += width
+        yield chunk
 
 
-def _lower_window(
-    passes: Iterable[int], split: int, conn: Connection | None = None
-) -> list[int]:
-    """Terms 0..split-1 of ∏(1 - q^m) over passes.
+def _cut_point(lengths: Sequence[int]) -> int:
+    """How many passes the first of two stages takes, at least one each.
 
-    With a pipe to a helper, every pass whose product reaches past split
-    first sends it m and the m terms at split - m..split - 1, with zeros
-    where the product has no term.
+    Pass t does about lengths[t] coefficient operations, its output
+    length capped at keep + 1; the cut is where their sum reaches half.
     """
-    window, length = [1], 1
-    for m in passes:
-        if conn is not None and length + m > split:
-            conn.send((m, [
-                *repeat(0, m - split),
-                *window[max(split - m, 0) :],
-                *repeat(0, split - len(window)),
-            ]))
-        window = _sparse_step(window, m, [0] * m)
-        del window[split:]
-        length += m
-    return window
+    sums = list(accumulate(lengths))
+    return min(bisect_left(sums, -(-sums[-1] // 2)) + 1, len(lengths) - 1)
 
 
-def _upper_window(conn: Connection, parent_end: Connection, width: int) -> None:
-    """Helper body: the passes on the width terms from split up.
+def _stage(
+    passes: Sequence[int],
+    degree: int,
+    keep: int,
+    source: Connection | None,
+    sink: Connection,
+    unused: Sequence[Connection],
+) -> None:
+    """Helper body: one stage of the pipeline.
 
-    Each pass waits for its m boundary terms; None asks for the terms.
+    It reads the chunks of the product before its passes from source,
+    or makes those of 1 without one, and sends each chunk of the product
+    after them to sink as soon as it is done, then None.
     """
-    parent_end.close()
-    window: list[int] = []
+    for conn in unused:
+        conn.close()
+    chunks = _unit_chunks(keep) if source is None else iter(source.recv, None)
     try:
-        while (step := conn.recv()) is not None:
-            m, below = step
-            window = _sparse_step(window, m, below)
-            del window[width:]
-        conn.send(window)
+        for chunk in _pass_chunks(passes, chunks, degree):
+            sink.send(chunk)
+        sink.send(None)
     except (EOFError, OSError):
-        return  # the parent gave up, and reports why
+        return  # the other end gave up, and the parent reports why
+
+
+def _reap(helpers: Iterable[multiprocessing.process.BaseProcess]) -> None:
+    """Join every started helper, terminating one that does not exit."""
+    for helper in helpers:
+        if helper.pid is not None:
+            helper.join(_HELPER_EXIT_S)
+            if helper.is_alive():
+                helper.terminate()
+                helper.join()
 
 
 def _expand_passes(spec: ProductSpec, passes: list[int], keep: int) -> list[int]:
-    """Terms 0..keep of ∏(1 - q^m) over passes, on one core or two."""
-    lengths = list(accumulate(passes, lambda n, m: min(n + m, keep + 1), initial=1))[1:]
-    split = 0
-    if sum(lengths) >= _SPLIT_WORK and _may_fork():
-        split = _split_point(lengths)
-    if not split:
-        return _lower_window(passes, keep + 1)
+    """Terms 0..keep of ∏(1 - q^m) over passes, here or in two helpers."""
+    lengths = [min(d + 1, keep + 1) for d in accumulate(passes)]
+    if len(passes) < 2 or sum(lengths) < _SPLIT_WORK or not _may_fork():
+        return list(chain.from_iterable(_pass_chunks(passes, _unit_chunks(keep), 0)))
+    cut = _cut_point(lengths)
+    stages = passes[:cut], passes[cut:]
     context = multiprocessing.get_context("fork")
-    conn, helper_end = context.Pipe()
-    helper = context.Process(
-        target=_upper_window, args=(helper_end, conn, keep + 1 - split), daemon=True
-    )
-    # the helper flushes the streams it inherits when it exits
+    middle_in, middle_out = context.Pipe(duplex=False)
+    conn, last_out = context.Pipe(duplex=False)
+    helper_ends = (middle_in, middle_out, last_out)
+    helpers = [
+        context.Process(
+            target=_stage,
+            args=(stages[0], 0, keep, None, middle_out, (middle_in, conn, last_out)),
+            daemon=True,
+        ),
+        context.Process(
+            target=_stage,
+            args=(stages[1], sum(stages[0]), keep, middle_in, last_out, (middle_out, conn)),
+            daemon=True,
+        ),
+    ]
+    # the helpers flush the streams they inherit when they exit
     sys.stdout.flush()
     sys.stderr.flush()
-    helper.start()
     try:
-        helper_end.close()
-        lower = _lower_window(passes, split, conn)
-        conn.send(None)
-        lower += conn.recv()
-    except (EOFError, OSError) as exc:
-        conn.close()
-        helper.join(_HELPER_EXIT_S)
-        raise ChildProcessError(
-            f"{spec}: the helper for terms {split}..{keep} exited "
-            f"(code {helper.exitcode}) before returning them"
-        ) from exc
+        for helper in helpers:
+            helper.start()
+        for end in helper_ends:
+            end.close()
+        try:
+            return list(chain.from_iterable(iter(conn.recv, None)))
+        except (EOFError, OSError) as exc:
+            _reap(helpers)
+            lost, stage = next(
+                (pair for pair in zip(helpers, stages) if pair[0].exitcode),
+                (helpers[-1], stages[-1]),
+            )
+            raise ChildProcessError(
+                f"{spec}: the helper for the passes m = {stage[0]}..{stage[-1]} "
+                f"exited (code {lost.exitcode}) before returning its terms"
+            ) from exc
     finally:
-        conn.close()
-        helper.join(_HELPER_EXIT_S)
-        if helper.is_alive():
-            helper.terminate()
-            helper.join()
-    return lower
+        for end in (*helper_ends, conn):
+            end.close()
+        _reap(helpers)
 
 
 _held: dict[tuple[int, frozenset[int], int], tuple[int, IntPolynomial]] = {}
@@ -439,15 +477,18 @@ def expand_product(spec: ProductSpec) -> IntPolynomial:
     An untruncated product is held, the last one of each of at most two
     families (modulus, residues, multiplicity), and the family's next
     index is grown from it: its entry is removed, and it is multiplied
-    by that index's factors alone, one full sparse pass each. Every other
-    request (a gap, the same index, a lower index, a truncated spec)
-    expands from scratch, so an index never walks through the ones it
-    skips and a single point always takes the checked path below.
+    by that index's factors alone, one whole sparse pass each. Every
+    other request (a gap, the same index, a lower index, a truncated
+    spec) expands from scratch, so an index never walks through the ones
+    it skips and a single point always takes the checked path below.
+    The held products stay referenced for the life of the process, after
+    every caller has let them go, until requests for two other families
+    replace them: after expand_borwein(1000) that is the whole P_1000.
 
     From scratch: one sparse-factor pass per factor, ascending exponent
-    order, each cut back to the terms up to keep; factors whose exponent
-    is past keep cannot change those terms and are skipped. A product of
-    k factors (1 - q^m) of total degree D satisfies a_{D-j} = (-1)^k a_j,
+    order, on the terms up to keep only; factors whose exponent is past
+    keep cannot change those terms and are skipped. A product of k
+    factors (1 - q^m) of total degree D satisfies a_{D-j} = (-1)^k a_j,
     so keep is D/2 + w, with w the largest factor exponent, and the rest
     is mirrored from the lower half. The terms computed past the
     midpoint (and the middle term, for even D) must equal their mirrors,
@@ -455,19 +496,22 @@ def expand_product(spec: ProductSpec) -> IntPolynomial:
     half that was not computed. A truncation below D/2 + w lowers keep,
     and the prefix is the result.
 
-    The passes run in this process unless their work, Σ over passes of
-    min(output length, keep + 1) coefficient operations, reaches
-    _SPLIT_WORK (about 10^7, n ≈ 185 for P_n), the process may use more
-    than one CPU, it is not a multiprocessing child (a --jobs worker)
-    and has no other thread, and fork exists. Then a forked helper runs
-    the passes on the window [K, keep] while this process runs them on
-    [0, K), and before each pass that reaches K it sends the helper the
-    m terms just below K. K comes from the pass lengths alone, so the
-    two windows finish about together. The joined list is the one a
-    single process computes, bit for bit, and the overlap check runs on
-    it unchanged. The helper is joined before this returns or raises; a
-    helper that exits before returning its terms raises
-    ChildProcessError.
+    The terms up to keep go through the passes a chunk of 2048 at a
+    time, each chunk through every pass before the next one starts; a
+    pass reads the m terms of its input just below the chunk, which it
+    kept from the chunk before. This runs in this process unless the
+    work, Σ over passes of min(output length, keep + 1) coefficient
+    operations, reaches _SPLIT_WORK (about 10^7, n ≈ 185 for P_n), the
+    process may use more than one CPU, it is not a multiprocessing child
+    (a --jobs worker) and has no other thread, and fork exists. Then the
+    passes are cut where their work reaches half, and two forked helpers
+    run one half each: the first sends each chunk it finishes to the
+    second, which sends it on to this process, so both compute at once.
+    The joined list is the one a single process computes, bit for bit,
+    and the overlap check runs on it unchanged. Both helpers are joined
+    before this returns or raises; a helper that exits before its terms
+    are returned raises ChildProcessError, which names its passes and
+    its exit code.
     """
     exponents = list(spec.exponents())
     if spec.truncation is not None:
@@ -480,7 +524,7 @@ def expand_product(spec: ProductSpec) -> IntPolynomial:
         for m in exponents[-len(spec.residues) * spec.multiplicity :]:
             # Rebind after every pass: holding the input while the next
             # pass runs would keep a third coefficient generation alive.
-            coeffs = _sparse_step(coeffs, m, [0] * m)
+            coeffs = _sparse_product(coeffs, m)
         product = IntPolynomial(coeffs)
     else:
         del held  # a product this request cannot grow from is let go first
@@ -492,7 +536,7 @@ def expand_product(spec: ProductSpec) -> IntPolynomial:
 
 
 def _expand_fresh(spec: ProductSpec, exponents: list[int]) -> IntPolynomial:
-    """spec's product from scratch: halved, mirrored, overlap-checked, split."""
+    """spec's product from scratch: halved, mirrored, overlap-checked."""
     D = sum(exponents)
     top = min(D // 2 + exponents[-1], D)
     keep = top if spec.truncation is None else min(top, spec.truncation)

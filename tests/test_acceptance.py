@@ -13,6 +13,8 @@ import resource
 import time
 from contextlib import contextmanager
 
+import pytest
+
 import borwein.cli as cli
 from borwein import (
     binomial,
@@ -178,6 +180,7 @@ def test_criterion_7_deterministic_reports(capsys, tmp_path, monkeypatch):
         assert j1.read_bytes() == j8.read_bytes()
 
 
+@pytest.mark.slow
 def test_criterion_8_expand_n1000(capsys):
     with criterion(
         capsys, 8, "n = 1000 (degree 3,006,003) expands exactly in < 10 min"

@@ -480,19 +480,19 @@ def test_split_expansion_output_matches_unsplit(monkeypatch, capsys, argv):
     unsplit = capsys.readouterr().out
     # every expansion of this process splits; --jobs workers never do
     monkeypatch.setattr(qpoly, "_SPLIT_WORK", 0)
-    splits: list[int] = []
-    choose = qpoly._split_point
+    cuts: list[int] = []
+    choose = qpoly._cut_point
 
     def spy(lengths):
-        splits.append(choose(lengths))
-        return splits[-1]
+        cuts.append(choose(lengths))
+        return cuts[-1]
 
-    monkeypatch.setattr(qpoly, "_split_point", spy)
+    monkeypatch.setattr(qpoly, "_cut_point", spy)
     assert run_cli(*argv) == 0
     assert capsys.readouterr().out == unsplit
     assert len(unsplit.splitlines()) == 5
     # serially only the first point expands, the rest chain from it
-    assert len(splits) == (0 if "--jobs" in argv else 1)
+    assert len(cuts) == (0 if "--jobs" in argv else 1)
 
 
 def per_point_ndjson(point, points) -> bytes:

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -23,28 +23,63 @@ from borwein import (
     cross_validate,
     divisor_formula_eval,
     divisor_formula_table,
+    divisors,
     dp_signed_counts,
     enumerate_signed_counts,
+    exact_div,
     literal_closed_form,
+    mobius,
+    mul_sparse_factor,
     trinomial_coeff,
 )
 from borwein.qpoly import IntPolynomial
 
 
-def _complex_class_poly(N: int, m: int) -> list[complex]:
-    """∏_{a: 3∤a} (1 + e^{2πi·m·a/N}·t) with float arithmetic."""
-    omega = cmath.exp(2j * cmath.pi * m / N)
-    coeffs: list[complex] = [1 + 0j]
+def _cyclotomic(d: int) -> list[int]:
+    """±Φ_d(x) as ∏_{e|d} (1 - x^e)^{μ(d/e)}, coefficients ascending.
+
+    The μ = 1 factors are multiplied first, so every divide is exact.
+    """
+    phi = IntPolynomial((1,))
+    for e in [e for e in divisors(d) if mobius(d // e) == 1]:
+        phi = mul_sparse_factor(phi, e)
+    for e in [e for e in divisors(d) if mobius(d // e) == -1]:
+        phi = exact_div(phi, e)
+    return list(phi.coeffs)
+
+
+def _reduce(p: list[int], phi: list[int]) -> list[int]:
+    """p mod phi over the integers; phi's leading coefficient is ±1."""
+    p = list(p)
+    k = len(phi) - 1
+    for i in range(len(p) - 1, k - 1, -1):
+        q = p[i] * phi[-1]
+        for j, f in enumerate(phi):
+            p[i - k + j] -= q * f
+    return p[:k]
+
+
+def _exact_class_poly(N: int, d: int, m: int = 1) -> list[int]:
+    """∏_{a: 3∤a} (1 + ζ^{m·a}·t) for ζ a primitive d-th root of unity, exactly.
+
+    Each coefficient in t lives in Z[x]/(x^d - 1), where multiplying by
+    x^a is a rotation, and is reduced mod Φ_d(x) at the end: Z[x]/Φ_d is
+    Z[ζ], so a coefficient that is an integer reduces to that constant.
+    """
+    coeffs = [[1] + [0] * (d - 1)]
     for a in range(N):
         if a % 3 == 0:
             continue
-        chi = omega**a
-        nxt = [0j] * (len(coeffs) + 1)
-        for e, c in enumerate(coeffs):
-            nxt[e] += c
-            nxt[e + 1] += c * chi
-        coeffs = nxt
-    return coeffs
+        s = m * a % d
+        shifted = [c[-s:] + c[:-s] if s else c for c in coeffs]
+        coeffs = [
+            list(map(operator.add, low, high))
+            for low, high in zip(coeffs + [[0] * d], [[0] * d] + shifted)
+        ]
+    phi = _cyclotomic(d)
+    reduced = [_reduce(c, phi) for c in coeffs]
+    assert all(not any(r[1:]) for r in reduced), (N, d, m)
+    return [r[0] for r in reduced]
 
 
 def test_dp_table_n1():
@@ -182,26 +217,20 @@ def test_class_polynomial_validation():
         character_class_polynomial(6, 0)
 
 
-def test_class_polynomial_matches_complex_character_product():
-    for N in (3, 6, 9, 12, 15, 18):
-        for d in [d for d in range(1, N + 1) if N % d == 0]:
-            exact = character_class_polynomial(N, d)
-            approx = _complex_class_poly(N, N // d)
-            assert len(approx) == 2 * N // 3 + 1
-            for k, c in enumerate(approx):
-                assert abs(c.imag) < 1e-7
-                assert abs(c.real - exact[k]) < 1e-7
+def test_class_polynomial_matches_exact_character_product():
+    for N in range(3, 61, 3):
+        for d in divisors(N):
+            product = _exact_class_poly(N, d)
+            assert len(product) == 2 * N // 3 + 1
+            assert product == list(character_class_polynomial(N, d).coeffs), (N, d)
 
 
 def test_class_polynomial_independent_of_character_choice():
     # any character of order d gives the same product: for N = 9, d = 9
     # the characters are exp(2πi·m·a/9) with gcd(m, 9) = 1
-    exact = character_class_polynomial(9, 9)
+    exact = list(character_class_polynomial(9, 9).coeffs)
     for m in (1, 2, 4, 5, 7, 8):
-        approx = _complex_class_poly(9, m)
-        for k, c in enumerate(approx):
-            assert abs(c.real - exact[k]) < 1e-7
-            assert abs(c.imag) < 1e-7
+        assert _exact_class_poly(9, 9, m) == exact, m
 
 
 def test_divisor_formula_point_values():

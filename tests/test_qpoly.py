@@ -10,6 +10,7 @@ import multiprocessing
 import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing.connection import Connection
 
 import pytest
 from hypothesis import given, settings
@@ -397,23 +398,24 @@ def test_at_most_two_families_are_held(fresh_expansions):
     assert len(qpoly._held) == 2
 
 
-def off_by_one_once(monkeypatch, index: int = 723) -> None:
-    """Make the first kernel output that reaches index wrong by one there.
+def off_by_one_once(monkeypatch, m: int = 62) -> None:
+    """Make pass m wrong by one at a_723, the top computed term at n = 20.
 
-    At n = 20, a_723 is the top computed term, D/2 + w. Later passes
-    move that error only to exponents above it, which are cut, so
-    exactly one term computed past the midpoint is off by one. A window
-    that starts at K holds a_723 at index 723 - K.
+    The pass's output on the last chunk, which ends at a_723, is changed
+    there once. The passes after it move that error only to exponents
+    above 723, which are cut, so exactly one term computed past the
+    midpoint is off by one. Set qpoly._CHUNK before calling this.
     """
     kernel = qpoly._sparse_step
+    last = 724 % qpoly._CHUNK or qpoly._CHUNK  # the width of the last chunk
     armed = True
 
-    def broken(p, m, below):
+    def broken(p, factor, below):
         nonlocal armed
-        out = kernel(p, m, below)
-        if armed and len(out) > index:
+        out = kernel(p, factor, below)
+        if armed and factor == m and len(out) == last:
             armed = False
-            out[index] += 1
+            out[-1] += 1
         return out
 
     monkeypatch.setattr(qpoly, "_sparse_step", broken)
@@ -442,24 +444,7 @@ def test_eval_at_plus_minus_one_matches_horner(p):
 
 
 # ---------------------------------------------------------------------------
-# the passes split between this process and a forked helper
-
-
-@pytest.fixture
-def split_always(monkeypatch) -> list[int]:
-    """Split every expansion; the list collects each split point chosen."""
-    if not qpoly._may_fork():
-        pytest.skip("needs fork and a second CPU")
-    monkeypatch.setattr(qpoly, "_SPLIT_WORK", 0)
-    splits: list[int] = []
-    choose = qpoly._split_point
-
-    def spy(lengths):
-        splits.append(choose(lengths))
-        return splits[-1]
-
-    monkeypatch.setattr(qpoly, "_split_point", spy)
-    return splits
+# the passes chunk by chunk, in this process or through two forked helpers
 
 
 def kept_terms(spec: ProductSpec) -> int:
@@ -469,81 +454,123 @@ def kept_terms(spec: ProductSpec) -> int:
     return top if spec.truncation is None else min(top, spec.truncation)
 
 
+def kept_passes(spec: ProductSpec) -> list[int]:
+    """The factor exponents expand_product runs a pass for."""
+    return [m for m in spec.exponents() if m <= kept_terms(spec)]
+
+
+# With 7-term chunks these span from one chunk (truncation 5) to 104
+# (n = 20, whose last chunk holds 3 terms), and every spec has passes
+# with m >= 7, which read terms below the chunk before the one below.
 SPLIT_SPECS = [
     ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=20),
     ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=9, multiplicity=2),
     ProductSpec(modulus=5, residues=frozenset({1, 2, 3, 4}), upper_index=7),
     ProductSpec(modulus=3, residues=frozenset({1}), upper_index=6),
+    ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=12, truncation=5),
     ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=12, truncation=90),
     ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=12, truncation=300),
     ProductSpec(modulus=7, residues=frozenset({5, 6}), upper_index=5),
 ]
 
+BORWEIN20 = SPLIT_SPECS[0]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_chunked_expansion_matches_unmirrored(monkeypatch, chunk):
+    monkeypatch.setattr(qpoly, "_CHUNK", chunk)
+    for spec in SPLIT_SPECS:
+        qpoly._held.clear()
+        assert expand_product(spec) == unmirrored(spec), spec
+
+
+@pytest.fixture
+def split_always(monkeypatch) -> list[int]:
+    """Split every expansion, in 7-term chunks; the list collects each cut."""
+    if not qpoly._may_fork():
+        pytest.skip("needs fork and a second CPU")
+    monkeypatch.setattr(qpoly, "_SPLIT_WORK", 0)
+    monkeypatch.setattr(qpoly, "_CHUNK", 7)
+    cuts: list[int] = []
+    choose = qpoly._cut_point
+
+    def spy(lengths):
+        cuts.append(choose(lengths))
+        return cuts[-1]
+
+    monkeypatch.setattr(qpoly, "_cut_point", spy)
+    return cuts
+
 
 @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=str)
 def test_split_expansion_matches_serial(split_always, spec):
     expanded = expand_product(spec)
-    assert len(split_always) == 1 and 0 < split_always[0] <= kept_terms(spec)
+    assert len(split_always) == 1 and 0 < split_always[0] < len(kept_passes(spec))
     assert expanded == unmirrored(spec)
-
-
-@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=str)
-def test_split_at_the_window_edges_matches_serial(split_always, monkeypatch, spec):
-    # K = 1 and 2 lie below the first exponent of the mod-7 spec, so the
-    # boundary terms reach below exponent 0; K = keep leaves the helper one term
-    keep = kept_terms(spec)
-    for k in (1, 2, keep - 1, keep):
-        if 0 < k <= keep:
-            monkeypatch.setattr(qpoly, "_split_point", lambda lengths: k)
-            assert expand_product(spec) == unmirrored(spec), k
-
-
-def test_overlap_check_catches_one_wrong_upper_window_term(split_always, monkeypatch):
-    # the lower window [0, 300) never outputs more than 300 + 62 terms, so
-    # only the helper's window reaches index 423, which holds a_723
-    monkeypatch.setattr(qpoly, "_split_point", lambda lengths: 300)
-    off_by_one_once(monkeypatch, 723 - 300)
-    borwein20 = ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=20)
-    with pytest.raises(MirrorMismatchError, match=r"a_723 = \d+, but its mirror a_600 "):
-        expand_product(borwein20)
     assert multiprocessing.active_children() == []
 
 
-def test_lost_helper_raises_and_leaves_no_process(split_always, monkeypatch):
+@pytest.mark.parametrize("spec", SPLIT_SPECS, ids=str)
+def test_split_at_every_cut_matches_serial(split_always, monkeypatch, spec):
+    # from the first helper running only the first pass to the second
+    # running only the last
+    for cut in range(1, len(kept_passes(spec))):
+        monkeypatch.setattr(qpoly, "_cut_point", lambda lengths: cut)
+        assert expand_product(spec) == unmirrored(spec), cut
+
+
+@pytest.mark.parametrize("cut, m", [(41, 61), (1, 62)], ids=["first", "second"])
+def test_overlap_check_catches_one_wrong_term_from_either_helper(
+    split_always, monkeypatch, cut, m
+):
+    # n = 20 has 42 passes, so cut 41 leaves the second helper only m = 62
+    monkeypatch.setattr(qpoly, "_cut_point", lambda lengths: cut)
+    off_by_one_once(monkeypatch, m)
+    with pytest.raises(MirrorMismatchError, match=r"a_723 = \d+, but its mirror a_600 "):
+        expand_product(BORWEIN20)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("m", [1, 62], ids=["first", "second"])
+def test_lost_helper_raises_and_leaves_no_process(split_always, monkeypatch, m):
     kernel = qpoly._sparse_step
     parent = os.getpid()
 
-    def helper_fails(p, m, below):
-        if os.getpid() != parent:
+    def helper_fails(p, factor, below):
+        if os.getpid() != parent and factor == m:
             raise RuntimeError("helper lost")
-        return kernel(p, m, below)
+        return kernel(p, factor, below)
 
     monkeypatch.setattr(qpoly, "_sparse_step", helper_fails)
-    borwein20 = ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=20)
-    with pytest.raises(ChildProcessError, match=r"exited \(code 1\) before returning"):
-        expand_product(borwein20)
+    with pytest.raises(ChildProcessError) as raised:
+        expand_product(BORWEIN20)
+    passes = kept_passes(BORWEIN20)
+    cut = split_always[0]
+    lo, hi = (passes[0], passes[cut - 1]) if m == 1 else (passes[cut], passes[-1])
+    assert f"the helper for the passes m = {lo}..{hi} exited (code 1) before" in str(
+        raised.value
+    )
     assert multiprocessing.active_children() == []
     assert cli.run(["verify", "--n", "20"]) == 4
     assert multiprocessing.active_children() == []
 
 
 def test_failing_parent_leaves_no_process(split_always, monkeypatch):
-    kernel = qpoly._sparse_step
+    recv = Connection.recv
     parent = os.getpid()
     calls = 0
 
-    def parent_fails(p, m, below):
+    def parent_fails(self):
         nonlocal calls
         if os.getpid() == parent:
             calls += 1
             if calls == 20:
                 raise RuntimeError("parent fails")
-        return kernel(p, m, below)
+        return recv(self)
 
-    monkeypatch.setattr(qpoly, "_sparse_step", parent_fails)
-    borwein20 = ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=20)
+    monkeypatch.setattr(Connection, "recv", parent_fails)
     with pytest.raises(RuntimeError, match="parent fails"):
-        expand_product(borwein20)
+        expand_product(BORWEIN20)
     assert multiprocessing.active_children() == []
 
 
@@ -552,14 +579,14 @@ def test_pool_workers_never_fork_a_helper():
         assert pool.submit(qpoly._may_fork).result() is False
 
 
-def test_split_point_balances_the_windows():
-    # n = 250: the lower window takes about 0.43 of the kept terms
+def test_cut_point_halves_the_work():
+    # n = 250: each helper gets half the modelled work, to within one pass
     spec = ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=250)
     keep = kept_terms(spec)
-    lengths = list(itertools.accumulate(
-        spec.exponents(), lambda n, m: min(n + m, keep + 1), initial=1
-    ))[1:]
-    assert sum(lengths) >= qpoly._SPLIT_WORK
-    assert 0.40 < qpoly._split_point(lengths) / keep < 0.46
-    # a product that never outgrows one term cannot be shared
-    assert qpoly._split_point([1, 1, 1]) == 0
+    lengths = [min(d + 1, keep + 1) for d in itertools.accumulate(kept_passes(spec))]
+    total = sum(lengths)
+    assert total >= qpoly._SPLIT_WORK
+    cut = qpoly._cut_point(lengths)
+    assert abs(2 * sum(lengths[:cut]) - total) <= 2 * lengths[cut - 1]
+    # each helper runs at least one pass
+    assert qpoly._cut_point([5, 1]) == qpoly._cut_point([1, 5]) == 1
