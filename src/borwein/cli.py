@@ -21,8 +21,8 @@ Exit codes: 0 all checks pass; 1 a claim check failed; 2 usage or
 parameter error (including unwritable destinations and manifest
 mismatches); 3 internal cross-validation failure (oracle mismatch,
 inexact division, or a mirrored expansion whose overlap disagrees); 4
-a helper process of a split expansion exited before returning its
-terms.
+the helper process that runs the first half of a split expansion's
+passes exited before returning its terms.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from itertools import count
 from typing import Callable, Iterator, Sequence, TextIO
 
 from . import modcount, partitions, series
-from .qpoly import IntPolynomial, ProductSpec, eval_at, expand_product
+from .qpoly import IntPolynomial, ProductSpec, _usable_cpus, eval_at, expand_product
 from .report import (
     TOOL_VERSION,
     CrossCheck,
@@ -316,7 +316,7 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
     The points run in ascending order. Serially each point is logged,
     written and recorded in the manifest as soon as it finishes. Under
-    --jobs, min(jobs, len(points), os.cpu_count()) workers each take one
+    --jobs, min(jobs, len(points), _usable_cpus()) workers each take one
     contiguous chunk of the range, whose first point expands from scratch
     unless that worker has just run the point before it; a chunk's
     points go out once the chunk is done. The --json destination is
@@ -380,7 +380,7 @@ def _run_points(
     Serially a report comes as soon as its point finishes; under a pool
     a chunk's reports come together once that chunk is done.
     """
-    workers = min(jobs, len(points), os.cpu_count() or 1)
+    workers = min(jobs, len(points), _usable_cpus())
     if workers <= 1:
         yield from map(point_fn, points)
         return

@@ -18,8 +18,8 @@ chunk. It holds the last untruncated product of at most two families
 and grows a family's next index from it by that index's factors alone,
 so a sweep over n chains its expansions without knowing which factors
 those are. A large expansion cuts its passes in two at half their work
-and pipelines them through two forked helpers: the first streams each
-finished chunk to the second, which streams it on to this process.
+and pipelines them: one forked helper runs the first stage and streams
+each finished chunk to this process, which runs the second stage on it.
 mul_sparse_factor and chained growth multiply a whole product at once.
 The one divider, exact_div, divides by (1-q^k) as a running sum per
 residue class and raises on a remainder. Gaussian binomials use
@@ -36,6 +36,7 @@ import os
 import sys
 import threading
 from bisect import bisect_left
+from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat, takewhile
@@ -301,8 +302,8 @@ class ProductSpec:
 
 
 # ---------------------------------------------------------------------------
-# the passes of expand_product, chunk by chunk, in this process or
-# pipelined through two forked helpers (internal)
+# the passes of expand_product, chunk by chunk, in this process or with
+# the first stage in one forked helper (internal)
 
 _CHUNK = 2048
 """Terms per chunk: a chunk goes through every pass while it is in cache."""
@@ -314,18 +315,22 @@ _HELPER_EXIT_S = 5
 """Seconds a helper is given to exit after its pipe closes."""
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _may_fork() -> bool:
-    """Whether this process may fork helpers onto a second core.
+    """Whether this process may fork a helper onto a second core.
 
     Not inside a multiprocessing child, so --jobs workers never double
     up, and not beside other threads, which fork does not copy.
     """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
     return (
-        cpus > 1
+        _usable_cpus() > 1
         and multiprocessing.parent_process() is None
         and "fork" in multiprocessing.get_all_start_methods()
         and threading.active_count() == 1
@@ -382,88 +387,72 @@ def _cut_point(lengths: Sequence[int]) -> int:
     return min(bisect_left(sums, -(-sums[-1] // 2)) + 1, len(lengths) - 1)
 
 
-def _stage(
-    passes: Sequence[int],
-    degree: int,
-    keep: int,
-    source: Connection | None,
-    sink: Connection,
-    unused: Sequence[Connection],
-) -> None:
-    """Helper body: one stage of the pipeline.
+def _stage(passes: Sequence[int], keep: int, pipe: tuple[Connection, Connection]) -> None:
+    """Helper body: the first stage of the pipeline.
 
-    It reads the chunks of the product before its passes from source,
-    or makes those of 1 without one, and sends each chunk of the product
-    after them to sink as soon as it is done, then None.
+    pipe is the one pipe to the parent, both ends as inherited: the
+    helper closes the read end, so a parent that gives up breaks the
+    pipe, and sends each chunk of 1 times its passes through the other
+    as soon as it is done, then None.
     """
-    for conn in unused:
-        conn.close()
-    chunks = _unit_chunks(keep) if source is None else iter(source.recv, None)
+    source, sink = pipe
+    source.close()
     try:
-        for chunk in _pass_chunks(passes, chunks, degree):
+        for chunk in _pass_chunks(passes, _unit_chunks(keep), 0):
             sink.send(chunk)
         sink.send(None)
-    except (EOFError, OSError):
-        return  # the other end gave up, and the parent reports why
+    except OSError:
+        return  # the parent gave up, and reports why
 
 
-def _reap(helpers: Iterable[multiprocessing.process.BaseProcess]) -> None:
-    """Join every started helper, terminating one that does not exit."""
-    for helper in helpers:
-        if helper.pid is not None:
-            helper.join(_HELPER_EXIT_S)
-            if helper.is_alive():
-                helper.terminate()
-                helper.join()
+def _helper_chunks(
+    spec: ProductSpec, passes: Sequence[int], keep: int
+) -> Iterator[list[int]]:
+    """The chunks of 1 times passes, as one forked helper finishes them.
+
+    The helper starts at the first chunk asked for. It is joined, and
+    terminated if it does not exit, once its chunks run out or this
+    generator is closed; if it exits before its last chunk,
+    ChildProcessError is raised, which names its passes and exit code.
+    """
+    context = multiprocessing.get_context("fork")
+    source, sink = context.Pipe(duplex=False)
+    helper = context.Process(target=_stage, args=(passes, keep, (source, sink)), daemon=True)
+    # the helper flushes the streams it inherits when it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    helper.start()
+    sink.close()
+    try:
+        yield from iter(source.recv, None)
+    except (EOFError, OSError) as exc:
+        helper.join(_HELPER_EXIT_S)
+        raise ChildProcessError(
+            f"{spec}: the helper for the passes m = {passes[0]}..{passes[-1]} "
+            f"exited (code {helper.exitcode}) before returning its terms"
+        ) from exc
+    finally:
+        source.close()
+        helper.join(_HELPER_EXIT_S)
+        if helper.is_alive():
+            helper.terminate()
+            helper.join()
 
 
 def _expand_passes(spec: ProductSpec, passes: list[int], keep: int) -> list[int]:
-    """Terms 0..keep of ∏(1 - q^m) over passes, here or in two helpers."""
+    """Terms 0..keep of ∏(1 - q^m) over passes.
+
+    This process runs the passes from the cut up, on the chunks of the
+    stage before: the chunks of 1 when the cut is 0, or those a helper
+    computes through the passes below the cut once the work reaches
+    _SPLIT_WORK. The chunks are closed before this returns or raises.
+    """
     lengths = [min(d + 1, keep + 1) for d in accumulate(passes)]
-    if len(passes) < 2 or sum(lengths) < _SPLIT_WORK or not _may_fork():
-        return list(chain.from_iterable(_pass_chunks(passes, _unit_chunks(keep), 0)))
-    cut = _cut_point(lengths)
-    stages = passes[:cut], passes[cut:]
-    context = multiprocessing.get_context("fork")
-    middle_in, middle_out = context.Pipe(duplex=False)
-    conn, last_out = context.Pipe(duplex=False)
-    helper_ends = (middle_in, middle_out, last_out)
-    helpers = [
-        context.Process(
-            target=_stage,
-            args=(stages[0], 0, keep, None, middle_out, (middle_in, conn, last_out)),
-            daemon=True,
-        ),
-        context.Process(
-            target=_stage,
-            args=(stages[1], sum(stages[0]), keep, middle_in, last_out, (middle_out, conn)),
-            daemon=True,
-        ),
-    ]
-    # the helpers flush the streams they inherit when they exit
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        for helper in helpers:
-            helper.start()
-        for end in helper_ends:
-            end.close()
-        try:
-            return list(chain.from_iterable(iter(conn.recv, None)))
-        except (EOFError, OSError) as exc:
-            _reap(helpers)
-            lost, stage = next(
-                (pair for pair in zip(helpers, stages) if pair[0].exitcode),
-                (helpers[-1], stages[-1]),
-            )
-            raise ChildProcessError(
-                f"{spec}: the helper for the passes m = {stage[0]}..{stage[-1]} "
-                f"exited (code {lost.exitcode}) before returning its terms"
-            ) from exc
-    finally:
-        for end in (*helper_ends, conn):
-            end.close()
-        _reap(helpers)
+    split = len(passes) > 1 and sum(lengths) >= _SPLIT_WORK and _may_fork()
+    cut = _cut_point(lengths) if split else 0
+    chunks = _helper_chunks(spec, passes[:cut], keep) if cut else _unit_chunks(keep)
+    with closing(chunks):
+        return list(chain.from_iterable(_pass_chunks(passes[cut:], chunks, sum(passes[:cut]))))
 
 
 _held: dict[tuple[int, frozenset[int], int], tuple[int, IntPolynomial]] = {}
@@ -504,14 +493,15 @@ def expand_product(spec: ProductSpec) -> IntPolynomial:
     operations, reaches _SPLIT_WORK (about 10^7, n ≈ 185 for P_n), the
     process may use more than one CPU, it is not a multiprocessing child
     (a --jobs worker) and has no other thread, and fork exists. Then the
-    passes are cut where their work reaches half, and two forked helpers
-    run one half each: the first sends each chunk it finishes to the
-    second, which sends it on to this process, so both compute at once.
-    The joined list is the one a single process computes, bit for bit,
-    and the overlap check runs on it unchanged. Both helpers are joined
-    before this returns or raises; a helper that exits before its terms
-    are returned raises ChildProcessError, which names its passes and
-    its exit code.
+    passes are cut where their work reaches half. One forked helper runs
+    the first half and sends each chunk it finishes to this process,
+    which runs the second half on it, so both compute at once. The
+    second half is the same loop as the unsplit expansion, with the
+    helper's chunks in place of those of 1. The joined list is the one a
+    single process computes, bit for bit, and the overlap check runs on
+    it unchanged. The helper is joined before this returns or raises; if
+    it exits before its terms are returned, ChildProcessError is raised,
+    which names its passes and its exit code.
     """
     exponents = list(spec.exponents())
     if spec.truncation is not None:

@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -126,6 +127,11 @@ def bumped(values, index: int) -> tuple[int, ...]:
     return (*values[:index], values[index] + 1, *values[index + 1 :])
 
 
+def negated(values, index: int) -> tuple[int, ...]:
+    """values with the sign of the one at index flipped."""
+    return (*values[:index], -values[index], *values[index + 1 :])
+
+
 def bumped_table(table):
     """A signed-count table with M(1, 2) one too large; signed is untouched."""
     counts = list(table.counts)
@@ -133,48 +139,63 @@ def bumped_table(table):
     return dataclasses.replace(table, counts=tuple(counts))
 
 
-# One corrupted value per row: the command, the function whose result is
-# corrupted, how, the exit code, and the located message on stdout or stderr.
-# At n = 1, N = 6: the DP's M(1, 2) is 1 and its M(3) is 2; a_{15} of the
-# p = 5 eta quotient is 4, the two-term formula's value at k = 3.
+# One corrupted value per row: the command, the module and function whose
+# result is corrupted, how, the exit code, and the located message on stdout
+# or stderr. At n = 1, N = 6: the DP's M(1, 2) is 1 and its M(3) is 2; a_{15}
+# of the p = 5 eta quotient is 4, the two-term formula's value at k = 3. At
+# n = 0 the mod-5 product (1-q)(1-q^2)(1-q^3)(1-q^4), of degree 10, has
+# a_1 = -1; the p = 5 eta quotient has a_1 = -1 and a_6 = -1.
 FAILURE_PATHS = [
     pytest.param(
-        ("verify", "--n", "3"), "series", "expand_borwein",
+        ("verify", "--n", "3"), cli.series, "expand_borwein",
         lambda s: cli.series.BorweinSeries(s.n, IntPolynomial((*s.poly.coeffs, 1))),
         1, '{"name": "degree", "expected": "48", "actual": "49", "agree": false}',
         id="verify-degree",
     ),
     pytest.param(
-        ("modcount", "--n", "1"), "modcount", "divisor_formula_table", bumped_table,
+        ("modcount", "--n", "1"), cli.modcount, "divisor_formula_table", bumped_table,
         3, "dp vs divisor-formula disagree at (N=6, k=1, b=2): 1 != 2",
         id="modcount-divisor-table",
     ),
     pytest.param(
-        ("modcount", "--n", "1"), "modcount", "enumerate_signed_counts", bumped_table,
+        ("modcount", "--n", "1"), cli.modcount, "enumerate_signed_counts", bumped_table,
         3, "dp vs enumeration disagree at (N=6, k=1, b=2): 1 != 2",
         id="modcount-enumeration",
     ),
     pytest.param(
-        ("modcount", "--n", "1"), "modcount", "residue_partial_sums",
+        ("modcount", "--n", "1"), cli.modcount, "residue_partial_sums",
         lambda sums: bumped(sums, 3),
         3, "partial sums vs dp signed disagree at (N=6, b=3): 3 != 2",
         id="modcount-partial-sums",
     ),
     pytest.param(
-        ("stanley", "--p", "5", "--k-max", "10"), "partitions", "eta_quotient_coeffs",
+        ("stanley", "--p", "5", "--k-max", "10"), cli.partitions, "eta_quotient_coeffs",
         lambda prefix: bumped(prefix, 15),
         1, '{"kind": "partition-formula-mismatch", "location": {"p": 5, "k": 3}, '
         '"value": 5, "expected": "4"}',
         id="stanley-partition-formula",
     ),
+    pytest.param(
+        ("conjecture23", "--n", "0"), cli, "expand_product",
+        lambda poly: IntPolynomial(negated(poly.coeffs, 1)) if poly.degree == 10 else poly,
+        1, '{"kind": "sign-mod5", "location": {"n": 0, "exponent": 1}, "value": 1, '
+        '"expected": "<=0"}',
+        id="conjecture23-mod5",
+    ),
+    pytest.param(
+        ("coherence", "--p", "5", "--j-max", "30"), cli.partitions, "eta_quotient_coeffs",
+        lambda prefix: negated(prefix, 1),
+        1, '{"kind": "sign-incoherence", "location": {"p": 5, "exponent": 1}, '
+        '"value": -1, "expected": ">=0"}',
+        id="coherence-sign",
+    ),
 ]
 
 
-@pytest.mark.parametrize("argv, module, name, corrupt, code, message", FAILURE_PATHS)
+@pytest.mark.parametrize("argv, layer, name, corrupt, code, message", FAILURE_PATHS)
 def test_check_fails_at_the_corrupted_value(
-    monkeypatch, capsys, argv, module, name, corrupt, code, message
+    monkeypatch, capsys, argv, layer, name, corrupt, code, message
 ):
-    layer = getattr(cli, module)
     exact = getattr(layer, name)
     monkeypatch.setattr(layer, name, lambda *args: corrupt(exact(*args)))
     assert run_cli(*argv, "--json", "-") == code
@@ -573,8 +594,17 @@ def test_jobs_blocks_match_serial(tmp_path, monkeypatch, command, lo):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-@pytest.mark.parametrize("cpus, expected", [(4, [(4, 6)]), (None, [])])
-def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch, cpus, expected):
+@pytest.mark.parametrize(
+    "cpus, affinity, expected",
+    [
+        (4, {0, 1, 2, 3}, [(4, 6)]),
+        (8, {0, 1}, [(2, 11)]),
+        (2, {0}, []),
+        (4, None, [(4, 6)]),
+        (None, None, []),
+    ],
+)
+def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch, cpus, affinity, expected):
     requested: list[tuple[int, int]] = []
 
     class InlinePool:
@@ -594,15 +624,21 @@ def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch, cpus, expected):
             return map(fn, items)
 
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1755590400")
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if affinity is None:  # no affinity set, as on platforms without one
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     serial = tmp_path / "serial.ndjson"
     wide = tmp_path / "wide.ndjson"
     span = ("--n-min", "0", "--n-max", "20")
     assert run_cli("verify", *span, "--json", str(serial)) == 0
     assert run_cli("verify", *span, "--jobs", "64", "--json", str(wide)) == 0
-    # 21 points in chunks of 6 for 4 workers; an unknown cpu count means
-    # one worker, which needs no pool
+    # 21 points in chunks of 6 for 4 workers, or of 11 for 2; the workers
+    # are bounded by the affinity set where there is one, and otherwise by
+    # the cpu count. One worker, as for one usable CPU or an unknown cpu
+    # count, needs no pool.
     assert requested == expected
     assert serial.read_bytes() == wide.read_bytes()
 

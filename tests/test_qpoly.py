@@ -444,7 +444,8 @@ def test_eval_at_plus_minus_one_matches_horner(p):
 
 
 # ---------------------------------------------------------------------------
-# the passes chunk by chunk, in this process or through two forked helpers
+# the passes chunk by chunk, in this process or with the first stage in
+# one forked helper
 
 
 def kept_terms(spec: ProductSpec) -> int:
@@ -484,60 +485,81 @@ def test_chunked_expansion_matches_unmirrored(monkeypatch, chunk):
         assert expand_product(spec) == unmirrored(spec), spec
 
 
+@dataclasses.dataclass
+class Splits:
+    """What split_always saw: each cut _cut_point chose, each process started."""
+
+    cuts: list[int]
+    started: list[multiprocessing.process.BaseProcess]
+
+    def one_helper_each(self, expansions: int) -> bool:
+        """One helper per split expansion, and none of them still running."""
+        return len(self.started) == expansions and multiprocessing.active_children() == []
+
+
 @pytest.fixture
-def split_always(monkeypatch) -> list[int]:
-    """Split every expansion, in 7-term chunks; the list collects each cut."""
+def split_always(monkeypatch) -> Splits:
+    """Split every expansion, in 7-term chunks, and log cuts and processes."""
     if not qpoly._may_fork():
         pytest.skip("needs fork and a second CPU")
     monkeypatch.setattr(qpoly, "_SPLIT_WORK", 0)
     monkeypatch.setattr(qpoly, "_CHUNK", 7)
-    cuts: list[int] = []
+    splits = Splits([], [])
     choose = qpoly._cut_point
+    start = multiprocessing.process.BaseProcess.start
 
     def spy(lengths):
-        cuts.append(choose(lengths))
-        return cuts[-1]
+        splits.cuts.append(choose(lengths))
+        return splits.cuts[-1]
+
+    def counted_start(process):
+        splits.started.append(process)
+        start(process)
 
     monkeypatch.setattr(qpoly, "_cut_point", spy)
-    return cuts
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted_start)
+    return splits
 
 
 @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=str)
 def test_split_expansion_matches_serial(split_always, spec):
     expanded = expand_product(spec)
-    assert len(split_always) == 1 and 0 < split_always[0] < len(kept_passes(spec))
+    assert len(split_always.cuts) == 1
+    assert 0 < split_always.cuts[0] < len(kept_passes(spec))
     assert expanded == unmirrored(spec)
-    assert multiprocessing.active_children() == []
+    assert split_always.one_helper_each(1)
 
 
 @pytest.mark.parametrize("spec", SPLIT_SPECS, ids=str)
 def test_split_at_every_cut_matches_serial(split_always, monkeypatch, spec):
-    # from the first helper running only the first pass to the second
-    # running only the last
-    for cut in range(1, len(kept_passes(spec))):
+    # from the helper running only the first pass to this process running
+    # only the last
+    cuts = range(1, len(kept_passes(spec)))
+    for cut in cuts:
         monkeypatch.setattr(qpoly, "_cut_point", lambda lengths: cut)
         assert expand_product(spec) == unmirrored(spec), cut
+    assert split_always.one_helper_each(len(cuts))
 
 
-@pytest.mark.parametrize("cut, m", [(41, 61), (1, 62)], ids=["first", "second"])
-def test_overlap_check_catches_one_wrong_term_from_either_helper(
+@pytest.mark.parametrize("cut, m", [(41, 61), (1, 62)], ids=["helper", "parent"])
+def test_overlap_check_catches_one_wrong_term_from_either_stage(
     split_always, monkeypatch, cut, m
 ):
-    # n = 20 has 42 passes, so cut 41 leaves the second helper only m = 62
+    # n = 20 has 42 passes: cut 41 gives the helper m = 1..61 and this
+    # process only m = 62, cut 1 gives the helper only m = 1
     monkeypatch.setattr(qpoly, "_cut_point", lambda lengths: cut)
     off_by_one_once(monkeypatch, m)
     with pytest.raises(MirrorMismatchError, match=r"a_723 = \d+, but its mirror a_600 "):
         expand_product(BORWEIN20)
-    assert multiprocessing.active_children() == []
+    assert split_always.one_helper_each(1)
 
 
-@pytest.mark.parametrize("m", [1, 62], ids=["first", "second"])
-def test_lost_helper_raises_and_leaves_no_process(split_always, monkeypatch, m):
+def test_lost_helper_raises_and_leaves_no_process(split_always, monkeypatch):
     kernel = qpoly._sparse_step
     parent = os.getpid()
 
     def helper_fails(p, factor, below):
-        if os.getpid() != parent and factor == m:
+        if os.getpid() != parent:
             raise RuntimeError("helper lost")
         return kernel(p, factor, below)
 
@@ -545,33 +567,41 @@ def test_lost_helper_raises_and_leaves_no_process(split_always, monkeypatch, m):
     with pytest.raises(ChildProcessError) as raised:
         expand_product(BORWEIN20)
     passes = kept_passes(BORWEIN20)
-    cut = split_always[0]
-    lo, hi = (passes[0], passes[cut - 1]) if m == 1 else (passes[cut], passes[-1])
-    assert f"the helper for the passes m = {lo}..{hi} exited (code 1) before" in str(
-        raised.value
+    cut = split_always.cuts[0]
+    assert (
+        f"the helper for the passes m = {passes[0]}..{passes[cut - 1]} exited (code 1) before"
+        in str(raised.value)
     )
-    assert multiprocessing.active_children() == []
+    assert split_always.one_helper_each(1)
     assert cli.run(["verify", "--n", "20"]) == 4
-    assert multiprocessing.active_children() == []
+    assert split_always.one_helper_each(2)
 
 
-def test_failing_parent_leaves_no_process(split_always, monkeypatch):
-    recv = Connection.recv
+@pytest.mark.parametrize(
+    "owner, name", [(qpoly, "_sparse_step"), (Connection, "recv")], ids=["kernel", "recv"]
+)
+def test_failing_parent_leaves_no_process(split_always, monkeypatch, owner, name):
+    exact = getattr(owner, name)
     parent = os.getpid()
     calls = 0
 
-    def parent_fails(self):
+    def parent_fails(*args):
         nonlocal calls
         if os.getpid() == parent:
             calls += 1
-            if calls == 20:
+            if calls == 200:
                 raise RuntimeError("parent fails")
-        return recv(self)
+        return exact(*args)
 
-    monkeypatch.setattr(Connection, "recv", parent_fails)
-    with pytest.raises(RuntimeError, match="parent fails"):
-        expand_product(BORWEIN20)
-    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(owner, name, parent_fails)
+    # P_100's first stage sends far more than a pipe holds, so the helper
+    # is still at work when this process fails, in its own stage or while
+    # receiving. The exception is kept, and with it every frame it passed
+    # through: the helper must be stopped before the exception leaves
+    # expand_product, not when those frames are freed.
+    with pytest.raises(RuntimeError, match="parent fails") as raised:
+        expand_product(ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=100))
+    assert split_always.one_helper_each(1), raised
 
 
 def test_pool_workers_never_fork_a_helper():
@@ -580,7 +610,8 @@ def test_pool_workers_never_fork_a_helper():
 
 
 def test_cut_point_halves_the_work():
-    # n = 250: each helper gets half the modelled work, to within one pass
+    # n = 250: the helper and this process each get half the modelled
+    # work, to within one pass
     spec = ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=250)
     keep = kept_terms(spec)
     lengths = [min(d + 1, keep + 1) for d in itertools.accumulate(kept_passes(spec))]
@@ -588,5 +619,5 @@ def test_cut_point_halves_the_work():
     assert total >= qpoly._SPLIT_WORK
     cut = qpoly._cut_point(lengths)
     assert abs(2 * sum(lengths[:cut]) - total) <= 2 * lengths[cut - 1]
-    # each helper runs at least one pass
+    # each stage runs at least one pass
     assert qpoly._cut_point([5, 1]) == qpoly._cut_point([1, 5]) == 1
