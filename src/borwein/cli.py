@@ -17,6 +17,11 @@ order-deterministic; with SOURCE_DATE_EPOCH set, reruns are
 byte-identical. A run that aborts keeps the lines and manifest entries
 of the points it finished.
 
+A command loads only what it runs. This module imports series at the
+top; the claim modules modcount and partitions load where a point
+function calls them, and the standard library that one path needs (the
+process pool for --jobs, hashlib for --manifest) loads in that path.
+
 Exit codes: 0 all checks pass; 1 a claim check failed; 2 usage or
 parameter error (including unwritable destinations and manifest
 mismatches); 3 internal cross-validation failure (oracle mismatch,
@@ -29,15 +34,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
+import importlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import count
 from typing import Callable, Iterator, Sequence, TextIO
 
-from . import modcount, partitions, series
+from . import series
 from .qpoly import IntPolynomial, ProductSpec, _usable_cpus, eval_at, expand_product
 from .report import (
     TOOL_VERSION,
@@ -53,6 +57,18 @@ __all__ = ["run", "main"]
 MANIFEST_FORMAT = 1
 
 
+def __getattr__(name: str):
+    """cli.modcount and cli.partitions: the claim modules, loaded on first use.
+
+    A point function imports its claim module where it calls it, so a
+    command loads only the modules it runs; this names the same module
+    objects, for a caller (a tracer or a test) that rebinds a function.
+    """
+    if name in ("modcount", "partitions"):
+        return importlib.import_module(f"{__package__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # point functions (top-level so process pools can pickle them)
 #
@@ -60,7 +76,8 @@ MANIFEST_FORMAT = 1
 # expand_product, which grows a family's next index from the one before,
 # so an ascending range chains with no code here. partial-sums and
 # modcount look their module function up on every call, so a function
-# rebound after this module is imported (by a tracer or a test) runs.
+# rebound after this module is imported (by a tracer or a test) runs;
+# modcount is imported there, on the first call.
 
 
 def _verify_point(n: int) -> ReportDocument:
@@ -95,6 +112,8 @@ def _partial_sums_point(n: int) -> ReportDocument:
 
 
 def _modcount_point(n: int) -> ReportDocument:
+    from . import modcount
+
     return modcount.cross_validate(n)
 
 
@@ -144,6 +163,8 @@ def _conjecture23_point(n: int) -> ReportDocument:
 
 def _params_hash(command: str) -> str:
     # "params" stays in the blob, always empty, so older manifests still load
+    import hashlib
+
     blob = json.dumps(
         {"command": command, "params": {}, "tool_version": TOOL_VERSION},
         sort_keys=True,
@@ -343,6 +364,8 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
         # nested, so never sent to a pool: prime commands have no --jobs
         def point_fn(p: int) -> ReportDocument:
+            from . import partitions
+
             return getattr(partitions, worker)(p, bound)
 
     manifest: Manifest | None = None
@@ -384,6 +407,8 @@ def _run_points(
     if workers <= 1:
         yield from map(point_fn, points)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(point_fn, points, chunksize=-(-len(points) // workers))
 
@@ -463,7 +488,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ManifestError as exc:
         _log(f"error: {exc}")
         return 2
-    except (modcount.OracleMismatchError, ArithmeticError) as exc:
+    except ArithmeticError as exc:  # oracle mismatch, inexact division, mirror mismatch
         _log(f"internal cross-validation failure: {exc}")
         return 3
     except ValueError as exc:

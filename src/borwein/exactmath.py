@@ -11,8 +11,11 @@ point anywhere.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "divisors",
@@ -105,6 +108,8 @@ def binomial(n: int, k: int) -> int:
 
 def generalized_binomial(a: Fraction | int, k: int) -> Fraction:
     """C(a, k) = a(a-1)...(a-k+1) / k! for arbitrary rational a."""
+    from fractions import Fraction
+
     if k < 0:
         return Fraction(0)
     num = Fraction(1)

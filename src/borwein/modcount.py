@@ -3,7 +3,8 @@
 For N = 3(n+1), D = {a in Z_N : 3 does not divide a} has 2N/3 elements.
 M(k, b) counts k-subsets of D summing to b mod N; the signed count
 M(b) = Σ_k (-1)^k M(k, b) equals the residue-class partial sums of the
-Borwein product, and the claim under test is M(b) > 0 whenever 3 | b.
+Borwein product, and the claim under test is M(b) > 0 whenever 3 | b
+(M(0) > 1 at b = 0, where the paper's sum leaves out the leading term).
 
 Three independent evaluators are kept deliberately separate:
 
@@ -35,14 +36,17 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, ne, sub
+from typing import TYPE_CHECKING
 
 from .exactmath import binomial, divisors, generalized_binomial, ramanujan_sum
 from .qpoly import IntPolynomial, InexactDivisionError, eval_at, pow_trunc
 from .report import CrossCheck, ReportDocument, new_report
 from .series import expand_borwein, partial_sum_violations, residue_partial_sums
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CapacityError",
@@ -70,8 +74,12 @@ class CapacityError(ValueError):
     """
 
 
-class OracleMismatchError(Exception):
-    """Two evaluators that must agree exactly did not."""
+class OracleMismatchError(ArithmeticError):
+    """Two evaluators that must agree exactly did not.
+
+    An ArithmeticError, like qpoly's InexactDivisionError and
+    MirrorMismatchError, so one handler covers every internal failure.
+    """
 
 
 @dataclass(frozen=True)
@@ -252,6 +260,8 @@ def divisor_formula_table(n: int) -> SignedCountTable:
 
 def _literal_inner_sum(N: int, d: int) -> Fraction:
     """Σ_{k = 0, d, ..., 2N/3} C(2N/(3d) + k/d - 1, k/d): the same for every b."""
+    from fractions import Fraction
+
     inner = Fraction(0)
     for j in range(2 * N // 3 // d + 1):
         top = Fraction(2 * N, 3 * d) + j - 1
@@ -275,6 +285,8 @@ def literal_closed_form(n: int) -> tuple[Fraction, ...]:
     """
     if n < 0:
         raise ValueError(f"literal_closed_form needs n >= 0, got {n}")
+    from fractions import Fraction
+
     N = 3 * (n + 1)
     inner = [(d, _literal_inner_sum(N, d)) for d in divisors(N) if d not in (1, 3)]
     main = Fraction(2 * 3 ** (N // 3), N)

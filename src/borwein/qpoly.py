@@ -31,18 +31,18 @@ the hot loops stay on raw lists and C-level map()/slice operations.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
-import threading
 from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat, takewhile
-from multiprocessing.connection import Connection
 from operator import add, neg, sub
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "InexactDivisionError",
@@ -327,8 +327,13 @@ def _may_fork() -> bool:
     """Whether this process may fork a helper onto a second core.
 
     Not inside a multiprocessing child, so --jobs workers never double
-    up, and not beside other threads, which fork does not copy.
+    up, and not beside other threads, which fork does not copy. It is
+    asked only once the work reaches _SPLIT_WORK, so a process whose
+    expansions stay below that never loads multiprocessing.
     """
+    import multiprocessing
+    import threading
+
     return (
         _usable_cpus() > 1
         and multiprocessing.parent_process() is None
@@ -415,6 +420,8 @@ def _helper_chunks(
     generator is closed; if it exits before its last chunk,
     ChildProcessError is raised, which names its passes and exit code.
     """
+    import multiprocessing
+
     context = multiprocessing.get_context("fork")
     source, sink = context.Pipe(duplex=False)
     helper = context.Process(target=_stage, args=(passes, keep, (source, sink)), daemon=True)

@@ -4,7 +4,8 @@ Expands P_n(q) = ∏_{j=0}^n (1-q^{3j+1})(1-q^{3j+2}), decomposes it as
 A(q³) - q·B(q³) - q²·C(q³), checks the conjectured sign pattern
 (a_j ≥ 0 when 3|j, a_j ≤ 0 otherwise), evaluates the alternating
 Gaussian-binomial form of A, and accumulates the residue-class partial
-sums whose strict positivity at b ≡ 0 (mod 3) is the claim under test.
+sums whose strict positivity at b ≡ 0 (mod 3), the class of 0 less its
+leading coefficient, is the claim under test.
 partial_sum_violations states that claim once, for both routes to the
 sums: the folded expansion here and the signed counts of modcount.
 """
@@ -144,22 +145,25 @@ def residue_partial_sums(s: BorweinSeries) -> tuple[int, ...]:
 
 
 def partial_sum_violations(sums: Sequence[int], n: int, kind: str) -> list[Violation]:
-    """The paper's claim on sums[b], b mod N: every entry at 3 | b is > 0.
+    """The paper's claim on sums[b], b mod N: its sum S(b) at every 3 | b is > 0.
 
-    One violation of the given kind per failing entry, in ascending
+    The paper sums a_b + a_{b+N} + ... + a_{b+nN}, n + 1 terms. At
+    b = 3k with 1 ≤ k ≤ n that is the whole class, S(b) = sums[b]. The
+    class of 0 also holds the leading coefficient a_{3(n+1)²} = 1, one
+    term past the paper's sum, so S(0) = sums[0] - 1. One violation of
+    the given kind, with value S(b), per failing entry, in ascending
     residue order; entries at 3 ∤ b are never flagged.
     """
+    claimed = [sums[b] - (b == 0) for b in range(0, len(sums), 3)]
     return [
-        Violation(
-            kind=kind, location={"n": n, "residue": b}, value=sums[b], expected=">0"
-        )
-        for b in range(0, len(sums), 3)
-        if sums[b] <= 0
+        Violation(kind=kind, location={"n": n, "residue": 3 * k}, value=s, expected=">0")
+        for k, s in enumerate(claimed)
+        if s <= 0
     ]
 
 
 def verify_partial_sums(n: int) -> ReportDocument:
-    """Check strict positivity of the partial sums at residues b with 3 | b.
+    """Check strict positivity of the paper's sums at residues b with 3 | b.
 
     The full vector is recorded so it can be cross-checked against the
     independent signed subset-sum evaluators. Entries at 3 ∤ b are

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import csv
 import dataclasses
 import json
@@ -144,13 +145,41 @@ def bumped_table(table):
 # or stderr. At n = 1, N = 6: the DP's M(1, 2) is 1 and its M(3) is 2; a_{15}
 # of the p = 5 eta quotient is 4, the two-term formula's value at k = 3. At
 # n = 0 the mod-5 product (1-q)(1-q^2)(1-q^3)(1-q^4), of degree 10, has
-# a_1 = -1; the p = 5 eta quotient has a_1 = -1 and a_6 = -1.
+# a_1 = -1; the p = 5 eta quotient has a_1 = -1 and a_6 = -1. The paper's
+# k = 0 sum at n = 1 is M(0) - 1 = 3, so M(0) = 1 leaves it at 0. P_3 has
+# degree 48 and keeps its terms through a_35, so a_30 = 5 is checked
+# against a_18 = 5. At N = 6, c_d(0) + 1 over the four divisors d adds 4
+# to the character sum 6 at (k = 0, b = 0). Row 4 of the q-binomials
+# starts with (1 - q^4)/(1 - q), so 2 - q^4 leaves a remainder.
 FAILURE_PATHS = [
     pytest.param(
         ("verify", "--n", "3"), cli.series, "expand_borwein",
         lambda s: cli.series.BorweinSeries(s.n, IntPolynomial((*s.poly.coeffs, 1))),
         1, '{"name": "degree", "expected": "48", "actual": "49", "agree": false}',
         id="verify-degree",
+    ),
+    pytest.param(
+        ("partial-sums", "--n", "1"), cli.series, "residue_partial_sums",
+        lambda sums: (1, *sums[1:]),
+        1, '{"kind": "nonpositive-partial-sum", "location": {"n": 1, "residue": 0}, '
+        '"value": 0, "expected": ">0"}',
+        id="partial-sums-k0",
+    ),
+    pytest.param(
+        ("verify", "--n", "3"), qpoly, "_expand_passes", lambda cs: list(bumped(cs, 30)),
+        3, "computed a_30 = 6, but its mirror a_18 gives 5",
+        id="verify-mirror",
+    ),
+    pytest.param(
+        ("modcount", "--n", "1"), cli.modcount, "ramanujan_sum", lambda c: c + 1,
+        3, "character sum 10 not divisible by N=6 at (k=0, b=0)",
+        id="modcount-inexact-division",
+    ),
+    pytest.param(
+        ("identity", "--n", "2"), qpoly, "mul_sparse_factor",
+        lambda poly: IntPolynomial(bumped(poly.coeffs, 0)),
+        3, "degree 4 polynomial not divisible by 1 - q^1",
+        id="identity-inexact-division",
     ),
     pytest.param(
         ("modcount", "--n", "1"), cli.modcount, "divisor_formula_table", bumped_table,
@@ -198,6 +227,8 @@ def test_check_fails_at_the_corrupted_value(
 ):
     exact = getattr(layer, name)
     monkeypatch.setattr(layer, name, lambda *args: corrupt(exact(*args)))
+    # a q-binomial row cached by an earlier test would skip the corrupted pass
+    qpoly._gaussian_row.cache_clear()
     assert run_cli(*argv, "--json", "-") == code
     out, err = capsys.readouterr()
     assert message in out + err
@@ -629,7 +660,8 @@ def test_jobs_clamped_to_cpu_count(tmp_path, monkeypatch, cpus, affinity, expect
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # _run_points imports the pool class where it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     serial = tmp_path / "serial.ndjson"
     wide = tmp_path / "wide.ndjson"
     span = ("--n-min", "0", "--n-max", "20")

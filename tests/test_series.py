@@ -184,14 +184,19 @@ def test_partial_sums_total_is_zero(series_upto_100):
 
 
 def test_partial_sum_violations_flag_only_nonpositive_multiples_of_three():
-    # zero and negative entries at 3 | b fail, in ascending residue order;
-    # the entries at 3 ∤ b are never flagged, not even 7 at b = 7
+    # zero and negative sums at 3 | b fail, in ascending residue order;
+    # the entries at 3 ∤ b are never flagged, not even 7 at b = 7. The
+    # paper's sum at b = 0 leaves out the leading coefficient 1: S(0) = -1
     sums = (0, -1, 0, 5, 0, -3, -2, 7, -4)
     assert partial_sum_violations(sums, 2, "claim") == [
-        Violation("claim", location={"n": 2, "residue": 0}, value=0, expected=">0"),
+        Violation("claim", location={"n": 2, "residue": 0}, value=-1, expected=">0"),
         Violation("claim", location={"n": 2, "residue": 6}, value=-2, expected=">0"),
     ]
     assert partial_sum_violations((4, -1, -2, 2, -2, -1), 1, "claim") == []
+    # a class of 0 that holds only the leading coefficient fails at S(0) = 0
+    assert partial_sum_violations((1, -1, -2, 2, -2, -1), 1, "claim") == [
+        Violation("claim", location={"n": 1, "residue": 0}, value=0, expected=">0"),
+    ]
 
 
 def test_verify_partial_sums_report():

@@ -143,6 +143,96 @@ def test_reference_points_match(monkeypatch, capsys):
     assert problems == []
 
 
+# A child that runs one command line in a fresh interpreter, after the
+# setup lines of its first argument, and prints its exit code and the
+# modules the run added to those a bare `python -c pass` has loaded.
+PROBE = """
+import sys
+base = set(sys.modules)
+exec(sys.argv[1])
+import borwein.cli
+code = borwein.cli.run(sys.argv[2:])
+print(code, *sorted(set(sys.modules) - base))
+"""
+
+# Modules that only some commands, or only a large expansion, need.
+NOT_FOR_VERIFY = {
+    "multiprocessing",
+    "concurrent.futures",
+    "hashlib",
+    "fractions",
+    "borwein.modcount",
+    "borwein.partitions",
+    "borwein.exactmath",
+}
+
+
+def probe(command: str, setup: str = "") -> tuple[int, set[str]]:
+    """Exit code of one CLI run in a fresh interpreter, and the modules it loaded."""
+    paths = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    child = subprocess.run(
+        [sys.executable, "-c", PROBE, setup, *command.split()],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    code, *added = child.stdout.split()
+    return int(code), set(added)
+
+
+def test_commands_load_only_the_modules_they_run():
+    """verify loads no claim module and none of the stdlib its other paths need.
+
+    Counts modules, not time, against what a bare interpreter has loaded,
+    so the result does not depend on the machine or on how site is set up.
+    """
+    code, added = probe("verify --n 2")
+    assert code == 0
+    assert {"borwein.cli", "borwein.series", "borwein.qpoly"} <= added
+    assert sorted(added & NOT_FOR_VERIFY) == []
+    code, added = probe("modcount --n 1")
+    assert code == 0
+    assert "borwein.modcount" in added
+
+
+def test_internal_failure_exits_3_without_modcount():
+    """run() maps a mirror mismatch to exit 3 in a process that never loads modcount."""
+    setup = (
+        "import borwein.qpoly as qpoly\n"
+        "exact = qpoly._expand_passes\n"
+        "def bumped(*args):\n"
+        "    cs = exact(*args)\n"
+        "    cs[30] += 1\n"
+        "    return cs\n"
+        "qpoly._expand_passes = bumped\n"
+    )
+    code, added = probe("verify --n 3", setup)
+    assert code == 3
+    assert "borwein.modcount" not in added
+
+
+def test_lazy_exports_resolve():
+    """The package's __all__ is every module's, in order, and each name binds."""
+    modules = [
+        importlib.import_module(f"borwein.{layer}")
+        for layer in ("exactmath", "qpoly", "series", "modcount", "partitions", "report")
+    ]
+    assert borwein.__all__ == ["__version__", *(n for m in modules for n in m.__all__)]
+    namespace: dict[str, object] = {}
+    exec("from borwein import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(borwein.__all__)
+    assert namespace["__version__"] == borwein.TOOL_VERSION
+    assert namespace["expand_product"] is modules[1].expand_product
+    assert borwein.modcount is modules[3]
+    with pytest.raises(AttributeError):
+        borwein.no_such_name
+    child = subprocess.run(
+        [sys.executable, "-m", "borwein.cli", "--version"],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, check=True,
+    )
+    assert child.stdout == f"borwein {borwein.TOOL_VERSION}\n"
+
+
 # Exports whose only callers are tests, each kept for the reason given.
 TEST_REFERENCES = {
     "trinomial_coeff": "the independent reference row for G_d when 3 | d",
