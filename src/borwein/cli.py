@@ -83,11 +83,10 @@ def __getattr__(name: str):
 def _verify_point(n: int) -> ReportDocument:
     """Sign pattern plus the structural facts for a single n.
 
-    A product expanded from scratch mirrors its upper half, so
-    `palindromic` holds by construction there: what backs it is
-    expand_product's check that the terms it computes past the midpoint
-    equal their mirrors. A product grown from the previous index is made
-    by full sparse passes, and the check is direct.
+    expand_product mirrors the upper half of every product, fresh or
+    grown from the previous index, so `palindromic` holds by
+    construction: what backs it is expand_product's check that the
+    terms it computes past the midpoint equal their mirrors.
     """
     doc = new_report("verify", {"n": n})
     s = series.expand_borwein(n)

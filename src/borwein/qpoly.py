@@ -14,13 +14,14 @@ plus an overlap that is checked against its mirror, or a shorter prefix
 when ProductSpec.truncation (the one truncation) asks for less. That
 loop is chunk-major: 2048 terms at a time go through every pass while
 they are in cache, each pass keeping the m input terms below the next
-chunk. It holds the last untruncated product of at most two families
-and grows a family's next index from it by that index's factors alone,
-so a sweep over n chains its expansions without knowing which factors
-those are. A large expansion cuts its passes in two at half their work
-and pipelines them: one forked helper runs the first stage and streams
-each finished chunk to this process, which runs the second stage on it.
-mul_sparse_factor and chained growth multiply a whole product at once.
+chunk. The passes start from 1, or from the last untruncated product
+of the same family (at most two families are held), when that is the
+index below: then only that index's factors are passes, so a sweep
+over n chains its expansions through the same loop and check. A large
+expansion cuts its passes in two at half their work and pipelines
+them: one forked helper runs the first stage and streams each finished
+chunk to this process, which runs the second stage on it.
+mul_sparse_factor multiplies a whole product at once.
 The one divider, exact_div, divides by (1-q^k) as a running sum per
 residue class and raises on a remainder. Gaussian binomials use
 mul_sparse_factor: each step of the ratio recurrence over k is one
@@ -37,7 +38,7 @@ from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain, repeat, takewhile
+from itertools import accumulate, chain, repeat
 from operator import add, neg, sub
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -342,12 +343,12 @@ def _may_fork() -> bool:
     )
 
 
-def _unit_chunks(keep: int) -> Iterator[list[int]]:
-    """The polynomial 1 through exponent keep, _CHUNK terms at a time."""
+def _base_chunks(base: Sequence[int], keep: int) -> Iterator[list[int]]:
+    """base through exponent keep, zeros past its end, _CHUNK terms at a time."""
     for start in range(0, keep + 1, _CHUNK):
-        chunk = [0] * min(_CHUNK, keep + 1 - start)
-        if not start:
-            chunk[0] = 1
+        width = min(_CHUNK, keep + 1 - start)
+        chunk = list(base[start : start + width])
+        chunk += repeat(0, width - len(chunk))
         yield chunk
 
 
@@ -392,18 +393,20 @@ def _cut_point(lengths: Sequence[int]) -> int:
     return min(bisect_left(sums, -(-sums[-1] // 2)) + 1, len(lengths) - 1)
 
 
-def _stage(passes: Sequence[int], keep: int, pipe: tuple[Connection, Connection]) -> None:
+def _stage(
+    passes: Sequence[int], base: Sequence[int], keep: int, pipe: tuple[Connection, Connection]
+) -> None:
     """Helper body: the first stage of the pipeline.
 
     pipe is the one pipe to the parent, both ends as inherited: the
     helper closes the read end, so a parent that gives up breaks the
-    pipe, and sends each chunk of 1 times its passes through the other
-    as soon as it is done, then None.
+    pipe, and sends each chunk of base times its passes through the
+    other as soon as it is done, then None.
     """
     source, sink = pipe
     source.close()
     try:
-        for chunk in _pass_chunks(passes, _unit_chunks(keep), 0):
+        for chunk in _pass_chunks(passes, _base_chunks(base, keep), len(base) - 1):
             sink.send(chunk)
         sink.send(None)
     except OSError:
@@ -411,20 +414,21 @@ def _stage(passes: Sequence[int], keep: int, pipe: tuple[Connection, Connection]
 
 
 def _helper_chunks(
-    spec: ProductSpec, passes: Sequence[int], keep: int
+    spec: ProductSpec, passes: Sequence[int], base: Sequence[int], keep: int
 ) -> Iterator[list[int]]:
-    """The chunks of 1 times passes, as one forked helper finishes them.
+    """The chunks of base times passes, as one forked helper finishes them.
 
-    The helper starts at the first chunk asked for. It is joined, and
-    terminated if it does not exit, once its chunks run out or this
-    generator is closed; if it exits before its last chunk,
-    ChildProcessError is raised, which names its passes and exit code.
+    The helper inherits base through the fork, and starts at the first
+    chunk asked for. It is joined, and terminated if it does not exit,
+    once its chunks run out or this generator is closed; if it exits
+    before its last chunk, ChildProcessError is raised, which names its
+    passes and exit code.
     """
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
     source, sink = context.Pipe(duplex=False)
-    helper = context.Process(target=_stage, args=(passes, keep, (source, sink)), daemon=True)
+    helper = context.Process(target=_stage, args=(passes, base, keep, (source, sink)), daemon=True)
     # the helper flushes the streams it inherits when it exits
     sys.stdout.flush()
     sys.stderr.flush()
@@ -446,20 +450,25 @@ def _helper_chunks(
             helper.join()
 
 
-def _expand_passes(spec: ProductSpec, passes: list[int], keep: int) -> list[int]:
-    """Terms 0..keep of ∏(1 - q^m) over passes.
+def _expand_passes(
+    spec: ProductSpec, passes: list[int], base: Sequence[int], keep: int
+) -> list[int]:
+    """Terms 0..keep of base times ∏(1 - q^m) over passes.
 
-    This process runs the passes from the cut up, on the chunks of the
-    stage before: the chunks of 1 when the cut is 0, or those a helper
-    computes through the passes below the cut once the work reaches
-    _SPLIT_WORK. The chunks are closed before this returns or raises.
+    base is a polynomial from exponent 0 with a nonzero last term. This
+    process runs the passes from the cut up, on the chunks of the stage
+    before: those of base when the cut is 0, or those a helper computes
+    through the passes below the cut once the work reaches _SPLIT_WORK.
+    The chunks are closed before this returns or raises.
     """
-    lengths = [min(d + 1, keep + 1) for d in accumulate(passes)]
+    degree = len(base) - 1
+    lengths = [min(d + 1, keep + 1) for d in accumulate(passes, initial=degree)][1:]
     split = len(passes) > 1 and sum(lengths) >= _SPLIT_WORK and _may_fork()
     cut = _cut_point(lengths) if split else 0
-    chunks = _helper_chunks(spec, passes[:cut], keep) if cut else _unit_chunks(keep)
+    chunks = _helper_chunks(spec, passes[:cut], base, keep) if cut else _base_chunks(base, keep)
     with closing(chunks):
-        return list(chain.from_iterable(_pass_chunks(passes[cut:], chunks, sum(passes[:cut]))))
+        stage = _pass_chunks(passes[cut:], chunks, degree + sum(passes[:cut]))
+        return list(chain.from_iterable(stage))
 
 
 _held: dict[tuple[int, frozenset[int], int], tuple[int, IntPolynomial]] = {}
@@ -470,75 +479,61 @@ _held: dict[tuple[int, frozenset[int], int], tuple[int, IntPolynomial]] = {}
 def expand_product(spec: ProductSpec) -> IntPolynomial:
     """Expand the product described by spec exactly.
 
-    An untruncated product is held, the last one of each of at most two
-    families (modulus, residues, multiplicity), and the family's next
-    index is grown from it: its entry is removed, and it is multiplied
-    by that index's factors alone, one whole sparse pass each. Every
-    other request (a gap, the same index, a lower index, a truncated
-    spec) expands from scratch, so an index never walks through the ones
-    it skips and a single point always takes the checked path below.
-    The held products stay referenced for the life of the process, after
-    every caller has let them go, until requests for two other families
-    replace them: after expand_borwein(1000) that is the whole P_1000.
+    Every product takes one path: one sparse-factor pass per factor, in
+    ascending exponent order, on the terms up to keep only; factors
+    whose exponent is past keep cannot change those terms and are
+    skipped. A product of k factors (1 - q^m) of total degree D
+    satisfies a_{D-j} = (-1)^k a_j, so keep is D/2 + w, with w the
+    largest factor exponent, and the rest is mirrored from the lower
+    half. The terms computed past the midpoint (and the middle term, for
+    even D) must equal their mirrors, or MirrorMismatchError is raised:
+    that overlap is the check on the half that was not computed. A
+    truncation below D/2 + w lowers keep, and the prefix is the result.
 
-    From scratch: one sparse-factor pass per factor, ascending exponent
-    order, on the terms up to keep only; factors whose exponent is past
-    keep cannot change those terms and are skipped. A product of k
-    factors (1 - q^m) of total degree D satisfies a_{D-j} = (-1)^k a_j,
-    so keep is D/2 + w, with w the largest factor exponent, and the rest
-    is mirrored from the lower half. The terms computed past the
-    midpoint (and the middle term, for even D) must equal their mirrors,
-    or MirrorMismatchError is raised: that overlap is the check on the
-    half that was not computed. A truncation below D/2 + w lowers keep,
-    and the prefix is the result.
+    The passes start from 1, or from a held product. The last
+    untruncated product of each of at most two families (modulus,
+    residues, multiplicity) is held, and the family's next index starts
+    from it: its entry is removed, and only that index's factors are
+    passes. Every other request (a gap, the same index, a lower index, a
+    truncated spec) starts from 1, so an index never walks through the
+    ones it skips. The held products stay referenced for the life of
+    the process, after every caller has let them go, until requests for
+    two other families replace them: after expand_borwein(1000) that is
+    the whole P_1000.
 
     The terms up to keep go through the passes a chunk of 2048 at a
     time, each chunk through every pass before the next one starts; a
     pass reads the m terms of its input just below the chunk, which it
     kept from the chunk before. This runs in this process unless the
     work, Σ over passes of min(output length, keep + 1) coefficient
-    operations, reaches _SPLIT_WORK (about 10^7, n ≈ 185 for P_n), the
-    process may use more than one CPU, it is not a multiprocessing child
-    (a --jobs worker) and has no other thread, and fork exists. Then the
-    passes are cut where their work reaches half. One forked helper runs
-    the first half and sends each chunk it finishes to this process,
-    which runs the second half on it, so both compute at once. The
-    second half is the same loop as the unsplit expansion, with the
-    helper's chunks in place of those of 1. The joined list is the one a
-    single process computes, bit for bit, and the overlap check runs on
-    it unchanged. The helper is joined before this returns or raises; if
-    it exits before its terms are returned, ChildProcessError is raised,
-    which names its passes and its exit code.
+    operations, reaches _SPLIT_WORK (about 10^7: P_n from n ≈ 185 from
+    1, or from n ≈ 1825 from P_{n-1}), the process may use more than one
+    CPU, it is not a multiprocessing child (a --jobs worker) and has no
+    other thread, and fork exists. Then the passes are cut where their
+    work reaches half. One forked helper runs the first half and sends
+    each chunk it finishes to this process, which runs the second half
+    on it, so both compute at once. The second half is the same loop as
+    the unsplit expansion, with the helper's chunks in place of the
+    input's. The joined list is the one a single process computes, bit
+    for bit, and the overlap check runs on it unchanged. The helper is
+    joined before this returns or raises; if it exits before its terms
+    are returned, ChildProcessError is raised, which names its passes
+    and its exit code.
     """
     exponents = list(spec.exponents())
-    if spec.truncation is not None:
-        return _expand_fresh(spec, exponents)
     family = (spec.modulus, spec.residues, spec.multiplicity)
-    held = _held.pop(family, None)
+    held = _held.pop(family, None) if spec.truncation is None else None
     if held is not None and held[0] == spec.upper_index - 1:
-        coeffs = held[1].coeffs
-        del held
-        for m in exponents[-len(spec.residues) * spec.multiplicity :]:
-            # Rebind after every pass: holding the input while the next
-            # pass runs would keep a third coefficient generation alive.
-            coeffs = _sparse_product(coeffs, m)
-        product = IntPolynomial(coeffs)
+        base, start = held[1].coeffs, len(exponents) - len(spec.residues) * spec.multiplicity
     else:
-        del held  # a product this request cannot grow from is let go first
-        product = _expand_fresh(spec, exponents)
-    _held[family] = (spec.upper_index, product)
-    if len(_held) > 2:
-        del _held[next(iter(_held))]
-    return product
-
-
-def _expand_fresh(spec: ProductSpec, exponents: list[int]) -> IntPolynomial:
-    """spec's product from scratch: halved, mirrored, overlap-checked."""
+        base, start = (1,), 0
+    del held  # a product this request cannot grow from is let go first
     D = sum(exponents)
     top = min(D // 2 + exponents[-1], D)
     keep = top if spec.truncation is None else min(top, spec.truncation)
-    passes = list(takewhile(keep.__ge__, exponents))
-    coeffs = _expand_passes(spec, passes, keep)
+    passes = [m for m in exponents[start:] if m <= keep]
+    coeffs = _expand_passes(spec, passes, base, keep)
+    del base  # a held product is let go before the result is assembled
     if keep < top:
         return IntPolynomial(coeffs)
     odd = len(exponents) % 2
@@ -557,4 +552,9 @@ def _expand_fresh(spec: ProductSpec, exponents: list[int]) -> IntPolynomial:
     coeffs += map(neg, tail) if odd else tail
     if spec.truncation is not None:
         del coeffs[spec.truncation + 1 :]
-    return IntPolynomial(coeffs)
+        return IntPolynomial(coeffs)
+    product = IntPolynomial(coeffs)
+    _held[family] = (spec.upper_index, product)
+    if len(_held) > 2:
+        del _held[next(iter(_held))]
+    return product

@@ -18,13 +18,14 @@ def no_held_products():
 
 @pytest.fixture
 def fresh_expansions(monkeypatch) -> list[ProductSpec]:
-    """Collects the spec of every product expanded from scratch."""
+    """Collects the spec of every product expanded from 1, not chained."""
     fresh: list[ProductSpec] = []
     expand_passes = qpoly._expand_passes
 
-    def spy(spec, passes, keep):
-        fresh.append(spec)
-        return expand_passes(spec, passes, keep)
+    def spy(spec, passes, base, keep):
+        if base == (1,):
+            fresh.append(spec)
+        return expand_passes(spec, passes, base, keep)
 
     monkeypatch.setattr(qpoly, "_expand_passes", spy)
     return fresh

@@ -150,8 +150,16 @@ def bumped_table(table):
 # degree 48 and keeps its terms through a_35, so a_30 = 5 is checked
 # against a_18 = 5. At N = 6, c_d(0) + 1 over the four divisors d adds 4
 # to the character sum 6 at (k = 0, b = 0). Row 4 of the q-binomials
-# starts with (1 - q^4)/(1 - q), so 2 - q^4 leaves a remainder.
+# starts with (1 - q^4)/(1 - q), so 2 - q^4 leaves a remainder. P_1 has
+# a_3 = 1, and P_0 squared, of degree 6, has a_3 = 4.
 FAILURE_PATHS = [
+    pytest.param(
+        ("verify", "--n", "1"), cli.series, "expand_borwein",
+        lambda s: cli.series.BorweinSeries(s.n, IntPolynomial(negated(s.poly.coeffs, 3))),
+        1, '{"kind": "sign", "location": {"n": 1, "exponent": 3}, "value": -1, '
+        '"expected": ">=0"}',
+        id="verify-sign",
+    ),
     pytest.param(
         ("verify", "--n", "3"), cli.series, "expand_borwein",
         lambda s: cli.series.BorweinSeries(s.n, IntPolynomial((*s.poly.coeffs, 1))),
@@ -210,6 +218,13 @@ FAILURE_PATHS = [
         1, '{"kind": "sign-mod5", "location": {"n": 0, "exponent": 1}, "value": 1, '
         '"expected": "<=0"}',
         id="conjecture23-mod5",
+    ),
+    pytest.param(
+        ("conjecture23", "--n", "0"), cli, "expand_product",
+        lambda poly: IntPolynomial(negated(poly.coeffs, 3)) if poly.degree == 6 else poly,
+        1, '{"kind": "sign-squared", "location": {"n": 0, "exponent": 3}, "value": -4, '
+        '"expected": ">=0"}',
+        id="conjecture23-squared",
     ),
     pytest.param(
         ("coherence", "--p", "5", "--j-max", "30"), cli.partitions, "eta_quotient_coeffs",
@@ -543,8 +558,9 @@ def test_split_expansion_output_matches_unsplit(monkeypatch, capsys, argv):
     assert run_cli(*argv) == 0
     assert capsys.readouterr().out == unsplit
     assert len(unsplit.splitlines()) == 5
-    # serially only the first point expands, the rest chain from it
-    assert len(cuts) == (0 if "--jobs" in argv else 1)
+    # serially every point splits: the first from 1, each later one from
+    # the point before
+    assert len(cuts) == (0 if "--jobs" in argv else 5)
 
 
 def per_point_ndjson(point, points) -> bytes:

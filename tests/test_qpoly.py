@@ -433,6 +433,17 @@ def test_overlap_check_catches_one_wrong_term(monkeypatch):
     assert cli.run(["verify", "--n", "20"]) == 3
 
 
+def test_overlap_check_catches_one_wrong_term_in_a_chained_step(monkeypatch):
+    # P_20 grown from the held P_19 runs only the passes m = 61 and 62,
+    # through the same halved loop as a fresh expansion, and is checked
+    expand_product(borwein_spec(19))
+    off_by_one_once(monkeypatch)
+    with pytest.raises(MirrorMismatchError, match=r"a_723 = \d+, but its mirror a_600 "):
+        expand_product(borwein_spec(20))
+    off_by_one_once(monkeypatch)
+    assert cli.run(["verify", "--n-min", "19", "--n-max", "20"]) == 3
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_polys)
 def test_eval_at_plus_minus_one_matches_horner(p):
