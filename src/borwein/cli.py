@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib
 import json
 import os
 import sys
@@ -55,18 +54,6 @@ from .series import sign_violations
 __all__ = ["run", "main"]
 
 MANIFEST_FORMAT = 1
-
-
-def __getattr__(name: str):
-    """cli.modcount and cli.partitions: the claim modules, loaded on first use.
-
-    A point function imports its claim module where it calls it, so a
-    command loads only the modules it runs; this names the same module
-    objects, for a caller (a tracer or a test) that rebinds a function.
-    """
-    if name in ("modcount", "partitions"):
-        return importlib.import_module(f"{__package__}.{name}")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------

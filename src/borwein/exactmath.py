@@ -3,9 +3,10 @@
 Divisors, Möbius, totient and Ramanujan sums for the divisor formula;
 binomials, including the rational ones of the literal closed form;
 trinomial coefficients, the independent reference row for G_3; and
-trial-division primality. Everything is pure and exact: plain ``int``
-(or ``Fraction``) in, plain ``int`` (or ``Fraction``) out, no floating
-point anywhere.
+primality. Divisors, Möbius, totient and primality all read one cached
+trial-division factorization, _factorization. Everything is pure and
+exact: plain ``int`` (or ``Fraction``) in, plain ``int`` (or
+``Fraction``) out, no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -30,21 +31,32 @@ __all__ = [
 
 
 @lru_cache(maxsize=None)
+def _factorization(n: int) -> tuple[tuple[int, int], ...]:
+    """(p, e) for each prime power p^e exactly dividing n >= 1, p ascending."""
+    factors: list[tuple[int, int]] = []
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+        p += 1
+    if n > 1:
+        factors.append((n, 1))
+    return tuple(factors)
+
+
+@lru_cache(maxsize=None)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
     if n < 1:
         raise ValueError(f"divisors is defined for n >= 1, got {n}")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    small.extend(reversed(large))
-    return tuple(small)
+    ds = [1]
+    for p, e in _factorization(n):
+        ds += [d * p**i for i in range(1, e + 1) for d in ds]
+    return tuple(sorted(ds))
 
 
 @lru_cache(maxsize=None)
@@ -52,18 +64,10 @@ def mobius(n: int) -> int:
     """Möbius function: (-1)^(number of prime factors) if squarefree, else 0."""
     if n < 1:
         raise ValueError(f"mobius is defined for n >= 1, got {n}")
-    sign = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            sign = -sign
-        p += 1
-    if n > 1:
-        sign = -sign
-    return sign
+    factors = _factorization(n)
+    if any(e > 1 for _, e in factors):
+        return 0
+    return -1 if len(factors) & 1 else 1
 
 
 @lru_cache(maxsize=None)
@@ -71,17 +75,9 @@ def euler_phi(n: int) -> int:
     """Euler totient: count of 1 <= k <= n coprime to n."""
     if n < 1:
         raise ValueError(f"euler_phi is defined for n >= 1, got {n}")
-    result = n
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            result -= result // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
+    for p, _ in _factorization(n):
+        n -= n // p
+    return n
 
 
 def ramanujan_sum(d: int, b: int) -> int:
@@ -142,12 +138,4 @@ def _trinomial_row(m: int) -> tuple[int, ...]:
 
 def is_prime(n: int) -> bool:
     """Trial-division primality check; inputs here are desk-scale."""
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
-
+    return n >= 2 and _factorization(n) == ((n, 1),)

@@ -10,6 +10,7 @@ formula); and checks sign coherence of coefficient pairs at distance p.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import add, sub
 
@@ -174,37 +175,33 @@ def verify_stanley(p: int, K: int) -> ReportDocument:
         restricted_partition_counts(second, K) if second is not None else ()
     )
 
-    def rhs(k: int, offset: int) -> int:
-        """The two-term value at k, the second term recentred by offset."""
-        value = first_counts[k]
-        if second is not None and k >= offset:
-            value += second_counts[k - offset]
-        return value
+    def mismatches(offset: int) -> Iterator[dict[str, int]]:
+        """{k, lhs, rhs} wherever the prefix and the two-term value differ."""
+        for k in range(K + 1):
+            rhs = first_counts[k]
+            if second is not None and k >= offset:
+                rhs += second_counts[k - offset]
+            if prefix[p * k] != rhs:
+                yield {"k": k, "lhs": prefix[p * k], "rhs": rhs}
 
-    for k in range(K + 1):
-        lhs, expected = prefix[p * k], rhs(k, delta)
-        if lhs != expected:
-            doc.violations.append(
-                Violation(
-                    kind="partition-formula-mismatch",
-                    location={"p": p, "k": k},
-                    value=lhs,
-                    expected=str(expected),
-                )
+    for m in mismatches(delta):
+        doc.violations.append(
+            Violation(
+                kind="partition-formula-mismatch",
+                location={"p": p, "k": m["k"]},
+                value=m["lhs"],
+                expected=str(m["rhs"]),
             )
+        )
     doc.data["offset"] = delta
     doc.data["t"] = t
     if second is not None:
         printed_delta = t * (p * t + 1) // 6
         doc.data["quoted_offset"] = printed_delta
         if printed_delta != delta:
-            witness = None
-            for k in range(K + 1):
-                lhs, expected = prefix[p * k], rhs(k, printed_delta)
-                if lhs != expected:
-                    witness = {"k": k, "lhs": lhs, "rhs": expected}
-                    break
-            doc.data["quoted_offset_first_mismatch"] = witness
+            doc.data["quoted_offset_first_mismatch"] = next(
+                mismatches(printed_delta), None
+            )
     return doc.finish()
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import add, sub
 
 from .qpoly import IntPolynomial, ProductSpec, expand_product, gaussian_binomial
 from .report import ReportDocument, Violation, new_report
@@ -121,16 +122,14 @@ def a_via_qbinomial(m: int) -> IntPolynomial:
     if m < 1:
         raise ValueError(f"a_via_qbinomial needs m >= 1, got {m}")
     bound = m // 3
-    acc: list[int] = []
+    # term k has degree m² - 9k² and shift k(9k-1)/2, so it ends at
+    # m² - k(9k+1)/2 <= m²: every term fits in the k = 0 term's length
+    acc = [0] * (m * m + 1)
     for k in range(-bound, bound + 1):
-        term = gaussian_binomial(2 * m, m + 3 * k)
+        cs = gaussian_binomial(2 * m, m + 3 * k).coeffs
         shift = k * (9 * k - 1) // 2
-        sign = -1 if k & 1 else 1
-        need = shift + len(term.coeffs)
-        if len(acc) < need:
-            acc.extend([0] * (need - len(acc)))
-        for e, c in enumerate(term.coeffs, start=shift):
-            acc[e] += sign * c
+        end = shift + len(cs)
+        acc[shift:end] = map(sub if k & 1 else add, acc[shift:end], cs)
     return IntPolynomial(acc)
 
 

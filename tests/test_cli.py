@@ -6,12 +6,15 @@ import argparse
 import concurrent.futures
 import csv
 import dataclasses
+import importlib
 import json
 import os
 
 import pytest
 
 import borwein.cli as cli
+import borwein.modcount as modcount
+import borwein.partitions as partitions
 import borwein.qpoly as qpoly
 from borwein import IntPolynomial, OracleMismatchError, ProductSpec, expand_product
 from borwein.report import new_report, report_to_json
@@ -179,7 +182,7 @@ FAILURE_PATHS = [
         id="verify-mirror",
     ),
     pytest.param(
-        ("modcount", "--n", "1"), cli.modcount, "ramanujan_sum", lambda c: c + 1,
+        ("modcount", "--n", "1"), modcount, "ramanujan_sum", lambda c: c + 1,
         3, "character sum 10 not divisible by N=6 at (k=0, b=0)",
         id="modcount-inexact-division",
     ),
@@ -190,23 +193,23 @@ FAILURE_PATHS = [
         id="identity-inexact-division",
     ),
     pytest.param(
-        ("modcount", "--n", "1"), cli.modcount, "divisor_formula_table", bumped_table,
+        ("modcount", "--n", "1"), modcount, "divisor_formula_table", bumped_table,
         3, "dp vs divisor-formula disagree at (N=6, k=1, b=2): 1 != 2",
         id="modcount-divisor-table",
     ),
     pytest.param(
-        ("modcount", "--n", "1"), cli.modcount, "enumerate_signed_counts", bumped_table,
+        ("modcount", "--n", "1"), modcount, "enumerate_signed_counts", bumped_table,
         3, "dp vs enumeration disagree at (N=6, k=1, b=2): 1 != 2",
         id="modcount-enumeration",
     ),
     pytest.param(
-        ("modcount", "--n", "1"), cli.modcount, "residue_partial_sums",
+        ("modcount", "--n", "1"), modcount, "residue_partial_sums",
         lambda sums: bumped(sums, 3),
         3, "partial sums vs dp signed disagree at (N=6, b=3): 3 != 2",
         id="modcount-partial-sums",
     ),
     pytest.param(
-        ("stanley", "--p", "5", "--k-max", "10"), cli.partitions, "eta_quotient_coeffs",
+        ("stanley", "--p", "5", "--k-max", "10"), partitions, "eta_quotient_coeffs",
         lambda prefix: bumped(prefix, 15),
         1, '{"kind": "partition-formula-mismatch", "location": {"p": 5, "k": 3}, '
         '"value": 5, "expected": "4"}',
@@ -227,7 +230,7 @@ FAILURE_PATHS = [
         id="conjecture23-squared",
     ),
     pytest.param(
-        ("coherence", "--p", "5", "--j-max", "30"), cli.partitions, "eta_quotient_coeffs",
+        ("coherence", "--p", "5", "--j-max", "30"), partitions, "eta_quotient_coeffs",
         lambda prefix: negated(prefix, 1),
         1, '{"kind": "sign-incoherence", "location": {"p": 5, "exponent": 1}, '
         '"value": -1, "expected": ">=0"}',
@@ -487,7 +490,7 @@ def test_unwritable_json_destination_fails_before_any_point(tmp_path, monkeypatc
         calls.append(n)
         return new_report("modcount", {"n": n}).finish()
 
-    monkeypatch.setattr(cli.modcount, "cross_validate", recorder)
+    monkeypatch.setattr(modcount, "cross_validate", recorder)
     dest = tmp_path / "no-such-dir" / "out.ndjson"
     assert run_cli("modcount", "--n-min", "0", "--n-max", "3", "--json", str(dest)) == 2
     assert calls == []
@@ -512,7 +515,7 @@ def test_oracle_mismatch_maps_to_exit_3(monkeypatch):
     def broken(n: int):
         raise OracleMismatchError("synthetic disagreement")
 
-    monkeypatch.setattr(cli.modcount, "cross_validate", broken)
+    monkeypatch.setattr(modcount, "cross_validate", broken)
     assert run_cli("modcount", "--n", "1") == 3
 
 
@@ -738,20 +741,20 @@ def test_aborted_sweep_keeps_finished_points(tmp_path, monkeypatch):
     manifest = tmp_path / "m.json"
     out = tmp_path / "out.ndjson"
     span = ("--n-min", "0", "--n-max", "5", "--manifest", str(manifest))
-    cross_validate = cli.modcount.cross_validate
+    cross_validate = modcount.cross_validate
 
     def fails_at_3(n: int):
         if n == 3:
             raise OracleMismatchError("synthetic disagreement at n = 3")
         return cross_validate(n)
 
-    monkeypatch.setattr(cli.modcount, "cross_validate", fails_at_3)
+    monkeypatch.setattr(modcount, "cross_validate", fails_at_3)
     assert run_cli("modcount", *span, "--json", str(out)) == 3
     assert out.read_bytes() == per_point_ndjson(cli._SWEEPS["modcount"][3], range(3))
     saved = json.loads(manifest.read_text())
     assert set(map(int, saved["completed"])) == {0, 1, 2}
 
-    monkeypatch.setattr(cli.modcount, "cross_validate", cross_validate)
+    monkeypatch.setattr(modcount, "cross_validate", cross_validate)
     rerun = tmp_path / "rerun.ndjson"
     assert run_cli("modcount", *span, "--json", str(rerun)) == 0
     assert rerun.read_bytes() == per_point_ndjson(cli._SWEEPS["modcount"][3], range(3, 6))
@@ -767,7 +770,7 @@ def test_range_sweep_streams_each_point(tmp_path, monkeypatch):
         lines_before[n] = len(out.read_bytes().splitlines())
         return new_report("modcount", {"n": n}).finish()
 
-    monkeypatch.setattr(cli.modcount, "cross_validate", recorder)
+    monkeypatch.setattr(modcount, "cross_validate", recorder)
     assert run_cli("modcount", "--n-min", "4", "--n-max", "9", "--json", str(out)) == 0
     assert lines_before == {n: n - 4 for n in range(4, 10)}
 
@@ -935,7 +938,7 @@ def test_prime_workers_looked_up_at_call_time(monkeypatch, command, worker, boun
         calls.append((p, limit))
         return new_report(command, {"p": p}).finish()
 
-    monkeypatch.setattr(cli.partitions, worker, recorder)
+    monkeypatch.setattr(partitions, worker, recorder)
     assert run_cli(command, "--p", "5", bound, "30") == 0
     assert calls == [(5, 30)]
 
@@ -954,6 +957,6 @@ def test_range_workers_looked_up_at_call_time(monkeypatch, command, module, work
         calls.append(n)
         return new_report(command, {"n": n}).finish()
 
-    monkeypatch.setattr(getattr(cli, module), worker, recorder)
+    monkeypatch.setattr(importlib.import_module(f"borwein.{module}"), worker, recorder)
     assert run_cli(command, "--n-min", "2", "--n-max", "3") == 0
     assert calls == [2, 3]

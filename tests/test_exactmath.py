@@ -140,3 +140,11 @@ def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
 
+
+
+def test_is_prime_brute_force():
+    for n in range(-3, 3000):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, n)))
+    assert not is_prime(961)  # 31²
+    assert not is_prime(10007**2)
+    assert is_prime(1_000_003)

@@ -167,13 +167,17 @@ NOT_FOR_VERIFY = {
 }
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this checkout's src."""
+    paths = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 def probe(command: str, setup: str = "") -> tuple[int, set[str]]:
     """Exit code of one CLI run in a fresh interpreter, and the modules it loaded."""
-    paths = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     child = subprocess.run(
         [sys.executable, "-c", PROBE, setup, *command.split()],
-        env=env, capture_output=True, text=True, check=True,
+        env=child_env(), capture_output=True, text=True, check=True,
     )
     code, *added = child.stdout.split()
     return int(code), set(added)
@@ -192,6 +196,24 @@ def test_commands_load_only_the_modules_they_run():
     code, added = probe("modcount --n 1")
     assert code == 0
     assert "borwein.modcount" in added
+
+
+# A child that asks the bare package for a private name, and prints the
+# answer and every borwein module then loaded.
+PRIVATE_PROBE = """
+import sys
+import borwein
+print(hasattr(borwein, "_x"), *sorted(m for m in sys.modules if m.startswith("borwein.")))
+"""
+
+
+def test_private_names_load_no_module():
+    """An underscore name is refused before any module is looked through."""
+    child = subprocess.run(
+        [sys.executable, "-c", PRIVATE_PROBE],
+        env=child_env(), capture_output=True, text=True, check=True,
+    )
+    assert child.stdout.split() == ["False"]
 
 
 def test_internal_failure_exits_3_without_modcount():
