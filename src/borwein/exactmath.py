@@ -1,7 +1,7 @@
 """Exact integer arithmetic helpers.
 
 Divisors, Möbius, totient and Ramanujan sums for the divisor formula;
-binomials, including the rational ones of the literal closed form;
+the generalized (rational) binomial of the literal closed form;
 trinomial coefficients, the independent reference row for G_3; and
 primality. Divisors, Möbius, totient and primality all read one cached
 trial-division factorization, _factorization. Everything is pure and
@@ -23,7 +23,6 @@ __all__ = [
     "mobius",
     "euler_phi",
     "ramanujan_sum",
-    "binomial",
     "generalized_binomial",
     "trinomial_coeff",
     "is_prime",
@@ -91,15 +90,6 @@ def ramanujan_sum(d: int, b: int) -> int:
         raise ValueError(f"ramanujan_sum needs d >= 1, got {d}")
     g = math.gcd(d, b)
     return sum(mobius(d // i) * i for i in divisors(g))
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for nonnegative n; 0 when k is out of range."""
-    if n < 0:
-        raise ValueError(f"binomial is defined for n >= 0, got {n}")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
 
 
 def generalized_binomial(a: Fraction | int, k: int) -> Fraction:

@@ -23,8 +23,9 @@ Three independent evaluators are kept deliberately separate:
 
 A fourth evaluator, literal_closed_form, returns the values of a
 published closed form taken verbatim (main term 2·3^{N/3}/N plus a
-divisor correction) at every 3 | b. It disagrees with the oracles for
-small N, so it is report-only: its discrepancies are recorded as data.
+divisor correction, one binomial per divisor by the hockey-stick
+identity) at every 3 | b. Its divisor weights differ from the exact
+ones, so it is report-only: its discrepancies are recorded as data.
 
 Every evaluator takes n alone and only returns values. cross_validate
 makes every comparison, at every b, on one path (_first_difference),
@@ -40,7 +41,7 @@ from functools import lru_cache
 from operator import add, ne, sub
 from typing import TYPE_CHECKING
 
-from .exactmath import binomial, divisors, generalized_binomial, ramanujan_sum
+from .exactmath import divisors, generalized_binomial, ramanujan_sum
 from .qpoly import IntPolynomial, InexactDivisionError, eval_at, pow_trunc
 from .report import CrossCheck, ReportDocument, new_report
 from .series import expand_borwein, partial_sum_violations, residue_partial_sums
@@ -258,37 +259,31 @@ def divisor_formula_table(n: int) -> SignedCountTable:
     return _table(n, counts)
 
 
-def _literal_inner_sum(N: int, d: int) -> Fraction:
-    """Σ_{k = 0, d, ..., 2N/3} C(2N/(3d) + k/d - 1, k/d): the same for every b."""
-    from fractions import Fraction
-
-    inner = Fraction(0)
-    for j in range(2 * N // 3 // d + 1):
-        top = Fraction(2 * N, 3 * d) + j - 1
-        if top.denominator == 1 and top >= 0:
-            inner += binomial(int(top), j)
-        else:
-            inner += generalized_binomial(top, j)
-    return inner
-
-
 def literal_closed_form(n: int) -> tuple[Fraction, ...]:
     """The literal closed form 2·3^{N/3}/N + (1/N)·Σ_{d|N, d∉{1,3}} ..., exactly.
 
     Returns its values at b = 0, 3, ..., N-3, the residues of the claim
-    it annotates. Report-only: kept verbatim even though it disagrees
-    with the exact evaluators for small N (e.g. n=1, b=0 gives 13/3
-    against the true 4). Conventions applied (the printed form leaves
-    them open): the inner sum runs over multiples k of d in [0, 2N/3],
-    and binomials with fractional top argument 2N/(3d) + k/d - 1 use the
-    generalized (rational) binomial. Each inner sum is computed once.
+    it annotates. As printed, divisor d adds c_d(b) times the inner sum
+    Σ_{k = 0, d, ..., 2N/3} C(2N/(3d) + k/d - 1, k/d); the printed form
+    leaves open that k runs over the multiples of d in [0, 2N/3] and that
+    a fractional top argument takes the generalized (rational) binomial.
+    With m = 2N/(3d), K = ⌊m⌋ and j = k/d, the hockey-stick identity
+    Σ_{j=0}^{K} C(m-1+j, j) = C(m+K, K) holds for rational m too, so each
+    inner sum is one binomial, C(2m, m) when m is an integer. The exact
+    evaluators weigh divisor d by 3^{N/d}·[3 | d] instead; with those
+    weights this shape equals divisor_formula_eval. Report-only: kept
+    verbatim though it disagrees from n = 1 on (n=1, b=0 gives 13/3, not 4).
     """
     if n < 0:
         raise ValueError(f"literal_closed_form needs n >= 0, got {n}")
     from fractions import Fraction
 
     N = 3 * (n + 1)
-    inner = [(d, _literal_inner_sum(N, d)) for d in divisors(N) if d not in (1, 3)]
+    inner = []
+    for d in divisors(N):
+        if d not in (1, 3):
+            K = 2 * N // (3 * d)
+            inner.append((d, generalized_binomial(Fraction(2 * N, 3 * d) + K, K)))
     main = Fraction(2 * 3 ** (N // 3), N)
     return tuple(
         main + sum((ramanujan_sum(d, b) * s for d, s in inner), Fraction(0)) / N

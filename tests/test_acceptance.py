@@ -9,6 +9,7 @@ are asserted as hard limits well above the measured values.
 from __future__ import annotations
 
 import json
+import math
 import resource
 import time
 from contextlib import contextmanager
@@ -17,7 +18,6 @@ import pytest
 
 import borwein.cli as cli
 from borwein import (
-    binomial,
     decompose_abc,
     divisor_formula_table,
     dp_signed_counts,
@@ -135,7 +135,7 @@ def test_criterion_6_structural_invariants(capsys, series_upto_100):
                 g = gaussian_binomial(n, k)
                 assert g.is_palindromic()
                 assert g.degree == k * (n - k)
-                assert eval_at(g, 1) == binomial(n, k)
+                assert eval_at(g, 1) == math.comb(n, k)
         for m in range(2, 60):
             assert sum(mobius(d) for d in range(1, m + 1) if m % d == 0) == 0
         for n in range(1, 25):
@@ -145,7 +145,7 @@ def test_criterion_6_structural_invariants(capsys, series_upto_100):
         for m in range(8):
             for k in range(2 * m + 1):
                 expected = sum(
-                    binomial(m, c) * binomial(m - c, k - 2 * c)
+                    math.comb(m, c) * math.comb(m - c, k - 2 * c)
                     for c in range(min(m, k // 2) + 1)
                 )
                 assert trinomial_coeff(m, k) == expected

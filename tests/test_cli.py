@@ -145,7 +145,8 @@ def bumped_table(table):
 
 # One corrupted value per row: the command, the module and function whose
 # result is corrupted, how, the exit code, and the located message on stdout
-# or stderr. At n = 1, N = 6: the DP's M(1, 2) is 1 and its M(3) is 2; a_{15}
+# or stderr. At n = 1, N = 6: the DP's table has 5 rows (k = 0..4), its
+# M(1, 2) is 1, and its M(2) and M(3) are -2 and 2; a_{15}
 # of the p = 5 eta quotient is 4, the two-term formula's value at k = 3. At
 # n = 0 the mod-5 product (1-q)(1-q^2)(1-q^3)(1-q^4), of degree 10, has
 # a_1 = -1; the p = 5 eta quotient has a_1 = -1 and a_6 = -1. The paper's
@@ -196,6 +197,19 @@ FAILURE_PATHS = [
         ("modcount", "--n", "1"), modcount, "divisor_formula_table", bumped_table,
         3, "dp vs divisor-formula disagree at (N=6, k=1, b=2): 1 != 2",
         id="modcount-divisor-table",
+    ),
+    pytest.param(
+        ("modcount", "--n", "1"), modcount, "divisor_formula_table",
+        lambda table: dataclasses.replace(table, counts=table.counts[:-1]),
+        3, "dp vs divisor-formula differ in shape at N=6: "
+        "5 rows of length 6 != 4 rows of length 6",
+        id="modcount-divisor-table-shape",
+    ),
+    pytest.param(
+        ("modcount", "--n", "1"), modcount, "divisor_formula_eval",
+        lambda signed: bumped(signed, 2),
+        3, "divisor-formula eval vs dp signed disagree at (N=6, b=2): -1 != -2",
+        id="modcount-divisor-eval",
     ),
     pytest.param(
         ("modcount", "--n", "1"), modcount, "enumerate_signed_counts", bumped_table,

@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from borwein import (
-    binomial,
     divisors,
     euler_phi,
     generalized_binomial,
@@ -94,17 +93,10 @@ def test_ramanujan_matches_root_of_unity_sum():
             assert round(val.real) == ramanujan_sum(d, b)
 
 
-def test_binomial_edges():
-    assert binomial(4, 2) == 6
-    assert binomial(5, 0) == 1
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-
-
 def test_generalized_binomial_extends_binomial():
     for n in range(8):
         for k in range(10):
-            assert generalized_binomial(n, k) == binomial(n, k)
+            assert generalized_binomial(n, k) == math.comb(n, k)
     # C(2/3 - 1, 0) = 1 and C(-1/3, 1) = -1/3 show up in the literal form
     assert generalized_binomial(Fraction(-1, 3), 0) == 1
     assert generalized_binomial(Fraction(-1, 3), 1) == Fraction(-1, 3)

@@ -18,7 +18,6 @@ from borwein import (
     OracleMismatchError,
     SignedCountTable,
     Violation,
-    binomial,
     character_class_polynomial,
     cross_validate,
     divisor_formula_eval,
@@ -27,6 +26,7 @@ from borwein import (
     dp_signed_counts,
     enumerate_signed_counts,
     exact_div,
+    generalized_binomial,
     literal_closed_form,
     mobius,
     mul_sparse_factor,
@@ -110,7 +110,7 @@ def test_row_sums_are_binomials(dp_tables_upto_30):
         size = 2 * t.N // 3
         assert len(t.counts) == size + 1
         for k, row in enumerate(t.counts):
-            assert sum(row) == binomial(size, k)
+            assert sum(row) == math.comb(size, k)
 
 
 def test_signed_vector_sums_to_zero(dp_tables_upto_30):
@@ -294,6 +294,55 @@ def test_literal_form_more_frozen_points():
     # values are checked in test_cross_validate_records_literal_form)
     assert literal_closed_form(0) == (2,)
     assert literal_closed_form(2)[0] == Fraction(20, 3)
+
+
+def test_literal_inner_sum_is_one_binomial():
+    # hockey stick: Σ_{j=0}^{K} C(m-1+j, j) = C(m+K, K), for rational m
+    # too; with m an integer and K = m it is the central binomial C(2m, m)
+    for k in range(1, 31):
+        m = Fraction(k, 3)
+        for K in range(13):
+            inner = sum(generalized_binomial(m - 1 + j, j) for j in range(K + 1))
+            assert inner == generalized_binomial(m + K, K), (m, K)
+    for m in range(1, 11):
+        assert generalized_binomial(2 * m, m) == math.comb(2 * m, m)
+
+
+def test_literal_weights_at_n12(monkeypatch):
+    # one binomial per divisor d ∉ {1, 3}; the true weights are 0, 0, 9, 3
+    N = 12
+    weights: dict[int, Fraction] = {}
+
+    def spy(a, K):
+        d = Fraction(2 * N, 3) / (a - K)
+        assert d.denominator == 1 and int(d) not in weights
+        weights[int(d)] = generalized_binomial(a, K)
+        return weights[int(d)]
+
+    monkeypatch.setattr(modcount, "generalized_binomial", spy)
+    literal_closed_form(N // 3 - 1)
+    assert weights == {2: 70, 4: 6, 6: Fraction(7, 3), 12: 1}
+
+
+def test_literal_shape_with_true_weights_is_the_divisor_formula(monkeypatch):
+    # the form's shape is right: only its weights C(m+K, K) differ from
+    # the true weight 3^{N/d}·[3 | d] of each divisor d
+    for n in range(40):
+        N = 3 * (n + 1)
+
+        def true_weight(a, K):
+            d = int(Fraction(2 * N, 3) / (a - K))
+            return 3 ** (N // d) if d % 3 == 0 else 0
+
+        monkeypatch.setattr(modcount, "generalized_binomial", true_weight)
+        assert literal_closed_form(n) == divisor_formula_eval(n)[::3], n
+
+
+def test_literal_form_first_nonpositive_at_n9_b3():
+    for n in range(9):
+        assert all(v > 0 for v in literal_closed_form(n)), n
+    values = literal_closed_form(9)
+    assert [3 * i for i, v in enumerate(values) if v <= 0][0] == 3
 
 
 def test_cross_validate_passes():
