@@ -214,9 +214,6 @@ class Manifest:
             fh.write("\n")
         os.replace(tmp, self.path)
 
-    def remaining(self, requested: Sequence[int]) -> list[int]:
-        return [n for n in requested if n not in self.completed]
-
 
 # ---------------------------------------------------------------------------
 # subcommand tables
@@ -362,10 +359,10 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         statuses = [manifest.completed[n] for n in points if n in manifest.completed]
         if statuses:
             _log(f"{command}: {len(statuses)} completed entries reused from manifest")
-        points = manifest.remaining(points)
+        points = [n for n in points if n not in manifest.completed]
     elif args.fresh:
         parser.error("--fresh requires --manifest")
-    with _open_json(args.json) as out:
+    with _open_dest(args.json, "\n") as out:
         if manifest is not None:
             manifest.save()
         docs = _run_points(point_fn, points, args.jobs)
@@ -410,11 +407,7 @@ def _expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if _same_file(args.json, args.csv):
         # two handles on one file would interleave the report and the dump
         parser.error("--json and --csv must name different files")
-    with contextlib.ExitStack() as stack:
-        out = stack.enter_context(_open_json(args.json))
-        csv = None
-        if args.csv is not None:
-            csv = stack.enter_context(_open_dest(args.csv, ""))
+    with _open_dest(args.json, "\n") as out, _open_dest(args.csv, "") as csv:
         s = series.expand_borwein(args.n)
         doc = new_report("expand", {"n": args.n})
         doc.data["degree"] = s.degree
@@ -438,18 +431,14 @@ def _same_file(dest: str | None, other: str | None) -> bool:
     return os.path.realpath(dest) == os.path.realpath(other)
 
 
-def _open_dest(dest: str, newline: str):
-    """The file at dest opened for writing, or stdout (left open) for "-"."""
+def _open_dest(dest: str | None, newline: str):
+    """The file at dest opened for writing, stdout (left open) for "-",
+    or None for an option not given."""
+    if dest is None:
+        return contextlib.nullcontext(None)
     if dest == "-":
         return contextlib.nullcontext(sys.stdout)
     return open(dest, "w", encoding="utf-8", newline=newline)
-
-
-def _open_json(json_dest: str | None):
-    """The NDJSON destination, or None when --json was not given."""
-    if json_dest is None:
-        return contextlib.nullcontext(None)
-    return _open_dest(json_dest, "\n")
 
 
 def _write_csv(poly: IntPolynomial, fh: TextIO) -> None:

@@ -28,8 +28,8 @@ identity) at every 3 | b. Its divisor weights differ from the exact
 ones, so it is report-only: its discrepancies are recorded as data.
 
 Every evaluator takes n alone and only returns values. cross_validate
-makes every comparison, at every b, on one path (_first_difference),
-and alone raises OracleMismatchError; the claim itself is
+makes every comparison on one path (_first_difference): shape first,
+then every b. That path alone raises OracleMismatchError; the claim is
 series.partial_sum_violations.
 """
 
@@ -291,17 +291,23 @@ def literal_closed_form(n: int) -> tuple[Fraction, ...]:
     )
 
 
-def _table_shape(t: SignedCountTable) -> str:
-    lengths = sorted({len(row) for row in t.counts})
-    return f"{len(t.counts)} rows of length {'/'.join(map(str, lengths))}"
+def _table_shape(rows: _Rows) -> str:
+    lengths = sorted({len(row) for row in rows})
+    return f"{len(rows)} rows of length {'/'.join(map(str, lengths))}"
 
 
 def _first_difference(what: str, N: int, left: _Rows, right: _Rows) -> None:
-    """Raise OracleMismatchError at the first entry where two tables differ.
+    """Raise OracleMismatchError where two tables first differ.
 
-    Entry b of every row sits at residue b. A signed vector is a table
-    of one row, and its location names b alone.
+    Shape is checked first: row lengths that differ raise with both
+    shapes. Then entry b of every row sits at residue b. A signed vector
+    is a table of one row, and its location names b alone.
     """
+    if list(map(len, left)) != list(map(len, right)):
+        raise OracleMismatchError(
+            f"{what} differ in shape at N={N}: "
+            f"{_table_shape(left)} != {_table_shape(right)}"
+        )
     for k, rows in enumerate(zip(left, right)):
         diff = list(map(ne, *rows))
         if True in diff:
@@ -318,7 +324,8 @@ def cross_validate(n: int) -> ReportDocument:
     Exact-equality checks (any failure raises OracleMismatchError):
     DP table == divisor-formula table, DP == enumeration while within
     capacity, and the DP's signed vector == the residue partial sums of
-    the Borwein product == divisor_formula_eval(n), at every b.
+    the Borwein product == divisor_formula_eval(n). Each runs through
+    _first_difference: shape first, then every b.
     The claim M(b) > 0 for 3 | b goes to violations; literal-closed-form
     discrepancies against divisor_formula_eval go to data.
 
@@ -335,11 +342,6 @@ def cross_validate(n: int) -> ReportDocument:
     else:
         doc.data["enumeration"] = "skipped (over capacity)"
     for check, name, table in tables:
-        if [len(row) for row in dp.counts] != [len(row) for row in table.counts]:
-            raise OracleMismatchError(
-                f"dp vs {name} differ in shape at N={N}: "
-                f"{_table_shape(dp)} != {_table_shape(table)}"
-            )
         _first_difference(f"dp vs {name}", N, dp.counts, table.counts)
         doc.cross_checks.append(
             CrossCheck(check, str(list(dp.signed)), str(list(table.signed)))

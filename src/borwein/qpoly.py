@@ -21,7 +21,8 @@ over n chains its expansions through the same loop and check. A large
 expansion cuts its passes in two at half their work and pipelines
 them: one forked helper runs the first stage and streams each finished
 chunk to this process, which runs the second stage on it.
-mul_sparse_factor multiplies a whole product at once.
+mul_sparse_factor runs the same kernel on a whole product: the window
+from exponent 0, padded by m zeros, with zeros below.
 The one divider, exact_div, divides by (1-q^k) as a running sum per
 residue class and raises on a remainder. Gaussian binomials use
 mul_sparse_factor: each step of the ratio recurrence over k is one
@@ -123,7 +124,7 @@ class IntPolynomial:
 # ---------------------------------------------------------------------------
 # raw-list kernels (internal): no trimming
 
-def _sparse_step(p: Sequence[int], m: int, below: Sequence[int]) -> list[int]:
+def _sparse_step(p: Sequence[int], m: int, below: Iterable[int]) -> list[int]:
     """A window's own terms of its product by (1 - q^m): c_e = p_e - p_{e-m}.
 
     The window p holds the terms from some offset K up, and below holds
@@ -133,15 +134,6 @@ def _sparse_step(p: Sequence[int], m: int, below: Sequence[int]) -> list[int]:
     shorter input, so one list display serves m < len(p) and m >= len(p).
     """
     return [*map(sub, p, below), *map(sub, p[m:], p)]
-
-
-def _sparse_product(p: Sequence[int], m: int) -> list[int]:
-    """The whole product p·(1 - q^m) of a polynomial from exponent 0.
-
-    p may be a list or a tuple; the output is built as one list display,
-    so no intermediate list is concatenated and thrown away.
-    """
-    return [*p[:m], *repeat(0, m - len(p)), *map(sub, p[m:], p), *map(neg, p[-m:])]
 
 
 def _mul_lists(p: Sequence[int], q: Sequence[int]) -> list[int]:
@@ -169,10 +161,11 @@ def _mul_lists(p: Sequence[int], q: Sequence[int]) -> list[int]:
 
 
 def mul_sparse_factor(P: IntPolynomial, m: int) -> IntPolynomial:
-    """P · (1 - q^m)."""
+    """P · (1 - q^m): the kernel's window from exponent 0, padded by m
+    zeros to the product's length, with zeros below."""
     if m < 1:
         raise ValueError(f"sparse factor exponent must be >= 1, got {m}")
-    return IntPolynomial(_sparse_product(P.coeffs, m))
+    return IntPolynomial(_sparse_step([*P.coeffs, *repeat(0, m)], m, repeat(0, m)))
 
 
 def pow_trunc(P: IntPolynomial, e: int) -> IntPolynomial:

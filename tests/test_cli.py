@@ -145,7 +145,8 @@ def bumped_table(table):
 
 # One corrupted value per row: the command, the module and function whose
 # result is corrupted, how, the exit code, and the located message on stdout
-# or stderr. At n = 1, N = 6: the DP's table has 5 rows (k = 0..4), its
+# or stderr. At n = 1, N = 6: the DP's table has 5 rows (k = 0..4) of 6
+# entries, so a vector one entry short is 1 row of length 5; its
 # M(1, 2) is 1, and its M(2) and M(3) are -2 and 2; a_{15}
 # of the p = 5 eta quotient is 4, the two-term formula's value at k = 3. At
 # n = 0 the mod-5 product (1-q)(1-q^2)(1-q^3)(1-q^4), of degree 10, has
@@ -212,6 +213,13 @@ FAILURE_PATHS = [
         id="modcount-divisor-eval",
     ),
     pytest.param(
+        ("modcount", "--n", "1"), modcount, "divisor_formula_eval",
+        lambda signed: signed[:-1],
+        3, "divisor-formula eval vs dp signed differ in shape at N=6: "
+        "1 rows of length 5 != 1 rows of length 6",
+        id="modcount-divisor-eval-shape",
+    ),
+    pytest.param(
         ("modcount", "--n", "1"), modcount, "enumerate_signed_counts", bumped_table,
         3, "dp vs enumeration disagree at (N=6, k=1, b=2): 1 != 2",
         id="modcount-enumeration",
@@ -221,6 +229,13 @@ FAILURE_PATHS = [
         lambda sums: bumped(sums, 3),
         3, "partial sums vs dp signed disagree at (N=6, b=3): 3 != 2",
         id="modcount-partial-sums",
+    ),
+    pytest.param(
+        ("modcount", "--n", "1"), modcount, "residue_partial_sums",
+        lambda sums: sums[:-1],
+        3, "partial sums vs dp signed differ in shape at N=6: "
+        "1 rows of length 5 != 1 rows of length 6",
+        id="modcount-partial-sums-shape",
     ),
     pytest.param(
         ("stanley", "--p", "5", "--k-max", "10"), partitions, "eta_quotient_coeffs",
@@ -264,6 +279,29 @@ def test_check_fails_at_the_corrupted_value(
     assert run_cli(*argv, "--json", "-") == code
     out, err = capsys.readouterr()
     assert message in out + err
+
+
+def test_modcount_reports_a_nonpositive_signed_count(monkeypatch, capsys):
+    # every oracle comparison runs before the claim, so the claim is handed
+    # the corrupted vector: M(3) - 2 = 0 at n = 1, where signed is
+    # [4, -1, -2, 2, -2, -1]
+    exact = modcount.partial_sum_violations
+
+    def lowered(signed, n, kind):
+        return exact((*signed[:3], signed[3] - 2, *signed[4:]), n, kind)
+
+    monkeypatch.setattr(modcount, "partial_sum_violations", lowered)
+    assert run_cli("modcount", "--n", "1", "--json", "-") == 1
+    (doc,) = map(json.loads, capsys.readouterr().out.splitlines())
+    assert doc["status"] == "fail"
+    assert doc["violations"] == [
+        {
+            "kind": "nonpositive-signed-count",
+            "location": {"n": 1, "residue": 3},
+            "value": 0,
+            "expected": ">0",
+        }
+    ]
 
 
 def test_modcount_subcommand(tmp_path):

@@ -412,3 +412,105 @@ def test_readme_examples_run():
     assert len(commands) >= 9
     for line in commands:
         cli._build_parser().parse_args(shlex.split(line)[1:])
+
+
+# Every violation kind in src; test_cli.py makes each of them fire.
+VIOLATION_KINDS = {
+    "sign",
+    "sign-squared",
+    "sign-mod5",
+    "nonpositive-partial-sum",
+    "nonpositive-signed-count",
+    "partition-formula-mismatch",
+    "sign-incoherence",
+}
+INTERNAL_ERRORS = {"OracleMismatchError", "InexactDivisionError", "MirrorMismatchError"}
+
+
+def src_trees() -> list[tuple[str, ast.Module]]:
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(SRC.glob("*.py"))
+    ]
+
+
+def string_constants(nodes: list[ast.AST]) -> set[str]:
+    return {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_every_violation_kind_fires_in_a_cli_test():
+    """Every violation kind in src is named by a failing test in test_cli.py.
+
+    src's kinds are read by AST from `kind=` keywords, `kind` defaults and
+    partial_sum_violations' third argument, and must be exactly
+    VIOLATION_KINDS, so a scanner that finds nothing fails. test_cli.py
+    names a kind only where it makes it fire: in a FAILURE_PATHS row's
+    located message, or in a violation it asserts.
+    """
+    kinds: set[str] = set()
+    for _, tree in src_trees():
+        for node in ast.walk(tree):
+            values: list[ast.AST] = []
+            if isinstance(node, ast.Call):
+                values += [kw.value for kw in node.keywords if kw.arg == "kind"]
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "partial_sum_violations" and len(node.args) > 2:
+                    values.append(node.args[2])
+            elif isinstance(node, ast.arguments):
+                positional = node.posonlyargs + node.args
+                defaults = [
+                    *zip(positional[len(positional) - len(node.defaults) :], node.defaults),
+                    *zip(node.kwonlyargs, node.kw_defaults),
+                ]
+                values += [value for arg, value in defaults if arg.arg == "kind"]
+            kinds |= string_constants(values)
+    assert kinds == VIOLATION_KINDS
+    named: set[str] = set()
+    tests = ast.parse((ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tests):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            named.update(re.findall(r'"kind": "([^"]+)"', node.value))
+        elif isinstance(node, ast.Dict):
+            named |= string_constants(
+                [
+                    value
+                    for key, value in zip(node.keys, node.values)
+                    if isinstance(key, ast.Constant) and key.value == "kind"
+                ]
+            )
+    assert sorted(kinds - named) == []
+
+
+def test_every_internal_error_raise_has_a_failure_path():
+    """Every raise of an internal error in src has a FAILURE_PATHS row.
+
+    A raise of OracleMismatchError, InexactDivisionError or
+    MirrorMismatchError is covered when the first literal piece of its
+    message, without the separators around it, appears in a FAILURE_PATHS
+    row's message. Each of the three must be raised somewhere, so a
+    scanner that finds nothing fails.
+    """
+    from test_cli import FAILURE_PATHS
+
+    messages = [row.values[5] for row in FAILURE_PATHS]
+    raised: set[str] = set()
+    uncovered: list[str] = []
+    for name, tree in src_trees():
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Raise)
+                and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) in INTERNAL_ERRORS
+            ):
+                continue
+            raised.add(node.exc.func.id)
+            message = node.exc.args[0]
+            pieces = message.values if isinstance(message, ast.JoinedStr) else [message]
+            piece = next((p.value for p in pieces if isinstance(p, ast.Constant)), "")
+            # the piece after a leading {value} starts with its separator
+            piece = piece.strip(" :,")
+            if not piece or not any(piece in m for m in messages):
+                uncovered.append(f"{name}:{node.lineno} {piece!r}")
+    assert raised == INTERNAL_ERRORS
+    assert uncovered == []
