@@ -6,20 +6,20 @@ plus optional CSV coefficient dumps. `expand` dumps one product; every
 other subcommand is a sweep and one row of a table, _SWEEPS (ranges of
 n) or _PRIME_SWEEPS (primes p). The parser is built from the tables,
 and one driver, _sweep, runs any row: points, manifest, pool, log, emit
-and exit code. A row's point function returns one point's report; it
-names products by ProductSpec, and expand_product grows each index's
-product from the previous index's, so this module holds no factor
-exponents. Serially every point's line is logged, written, flushed and
-recorded in the manifest as soon as the point finishes; --jobs gives
-each worker one contiguous chunk of the range and writes a chunk's
-lines, in ascending order, once that chunk is done. Output is
+and exit code. A row names the claim function that returns one point's
+report, by module and name; _claim_point looks it up when the point
+runs, so a function rebound after import (by a tracer or a test) is the
+one that runs. Serially every point's line is logged, written, flushed
+and recorded in the manifest as soon as the point finishes; --jobs
+gives each worker one contiguous chunk of the range and writes a
+chunk's lines, in ascending order, once that chunk is done. Output is
 order-deterministic; with SOURCE_DATE_EPOCH set, reruns are
 byte-identical. A run that aborts keeps the lines and manifest entries
 of the points it finished.
 
-A command loads only what it runs. This module imports series at the
-top; the claim modules modcount and partitions load where a point
-function calls them, and the standard library that one path needs (the
+A command loads only what it runs. This module imports only report at
+load time; a claim's module loads when its first point runs, series
+when expand runs, and the standard library that one path needs (the
 process pool for --jobs, hashlib for --manifest) loads in that path.
 
 Exit codes: 0 all checks pass; 1 a claim check failed; 2 usage or
@@ -37,110 +37,19 @@ import contextlib
 import json
 import os
 import sys
+from functools import partial
+from importlib import import_module
 from itertools import count
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
 
-from . import series
-from .qpoly import IntPolynomial, ProductSpec, _usable_cpus, eval_at, expand_product
-from .report import (
-    TOOL_VERSION,
-    CrossCheck,
-    ReportDocument,
-    new_report,
-    report_to_json,
-)
-from .series import sign_violations
+from .report import TOOL_VERSION, ReportDocument, new_report, report_to_json
+
+if TYPE_CHECKING:
+    from .qpoly import IntPolynomial
 
 __all__ = ["run", "main"]
 
 MANIFEST_FORMAT = 1
-
-
-# ---------------------------------------------------------------------------
-# point functions (top-level so process pools can pickle them)
-#
-# Each takes one index and returns its report. The products come from
-# expand_product, which grows a family's next index from the one before,
-# so an ascending range chains with no code here. partial-sums and
-# modcount look their module function up on every call, so a function
-# rebound after this module is imported (by a tracer or a test) runs;
-# modcount is imported there, on the first call.
-
-
-def _verify_point(n: int) -> ReportDocument:
-    """Sign pattern plus the structural facts for a single n.
-
-    expand_product mirrors the upper half of every product, fresh or
-    grown from the previous index, so `palindromic` holds by
-    construction: what backs it is expand_product's check that the
-    terms it computes past the midpoint equal their mirrors.
-    """
-    doc = new_report("verify", {"n": n})
-    s = series.expand_borwein(n)
-    doc.violations.extend(series.check_sign_pattern(s))
-    expected_degree = 3 * (n + 1) * (n + 1)
-    doc.cross_checks.append(
-        CrossCheck("degree", str(expected_degree), str(s.degree))
-    )
-    doc.cross_checks.append(
-        CrossCheck("endpoints", "1,1", f"{s.poly[0]},{s.poly[s.degree]}")
-    )
-    doc.cross_checks.append(
-        CrossCheck("palindromic", "True", str(s.poly.is_palindromic()))
-    )
-    doc.cross_checks.append(CrossCheck("value_at_1", "0", str(eval_at(s.poly, 1))))
-    doc.data["degree"] = s.degree
-    return doc.finish()
-
-
-def _partial_sums_point(n: int) -> ReportDocument:
-    return series.verify_partial_sums(n)
-
-
-def _modcount_point(n: int) -> ReportDocument:
-    from . import modcount
-
-    return modcount.cross_validate(n)
-
-
-def _identity_point(m: int) -> ReportDocument:
-    """Alternating q-binomial sum vs the A-component of the product."""
-    doc = new_report("identity", {"m": m})
-    via_product = series.decompose_abc(series.expand_borwein(m - 1)).a
-    via_binomials = series.a_via_qbinomial(m)
-    if via_binomials == via_product:
-        doc.cross_checks.append(CrossCheck("a_polynomial", "match", "match"))
-    else:
-        bad = next(
-            e
-            for e in range(max(len(via_binomials), len(via_product)))
-            if via_binomials[e] != via_product[e]
-        )
-        doc.cross_checks.append(
-            CrossCheck(
-                "a_polynomial",
-                "match",
-                f"mismatch at exponent {bad}: {via_binomials[bad]} != {via_product[bad]}",
-            )
-        )
-    doc.data["degree"] = via_product.degree
-    return doc.finish()
-
-
-def _conjecture23_point(n: int) -> ReportDocument:
-    """Sign sweeps for the squared (mod 3) and mod-5 product variants."""
-    doc = new_report("conjecture23", {"n": n})
-    squared = expand_product(
-        ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=n, multiplicity=2)
-    )
-    mod5 = expand_product(
-        ProductSpec(modulus=5, residues=frozenset({1, 2, 3, 4}), upper_index=n)
-    )
-    doc.violations.extend(sign_violations(squared, 3, n, kind="sign-squared"))
-    doc.violations.extend(sign_violations(mod5, 5, n, kind="sign-mod5"))
-    doc.data["squared_degree"] = squared.degree
-    doc.data["mod5_degree"] = mod5.degree
-    return doc.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -218,37 +127,43 @@ class Manifest:
 # ---------------------------------------------------------------------------
 # subcommand tables
 #
-# _SWEEPS: range command -> (help, lowest index, point label, point function).
-# _PRIME_SWEEPS: prime command -> (help, bound flag, its default, name of
-# the `partitions` worker called as worker(p, bound), default primes).
-# Prime workers are stored by name and looked up on every call, so a
-# function rebound in `partitions` after this module is imported (by a
-# tracer or a test) is the one that runs.
+# _SWEEPS: range command -> (help, lowest index, point label, module,
+# claim), the claim called as claim(n).
+# _PRIME_SWEEPS: prime command -> (help, bound flag, its default, module,
+# claim, default primes), the claim called as claim(p, bound).
+# A claim is a public function of borwein.<module>, named here and
+# looked up by _claim_point when its point runs.
 
-_SWEEPS: dict[str, tuple[str, int, str, Callable[[int], ReportDocument]]] = {
-    "verify": ("sign-pattern sweep over a range of n", 0, "n", _verify_point),
+_SWEEPS: dict[str, tuple[str, int, str, str, str]] = {
+    "verify": (
+        "sign-pattern sweep over a range of n", 0, "n", "series", "verify_sign_pattern"
+    ),
     "partial-sums": (
-        "strict positivity of residue-class partial sums", 0, "n", _partial_sums_point
+        "strict positivity of residue-class partial sums",
+        0, "n", "series", "verify_partial_sums",
     ),
     "modcount": (
-        "cross-validate the signed subset-sum evaluators", 0, "n", _modcount_point
+        "cross-validate the signed subset-sum evaluators",
+        0, "n", "modcount", "cross_validate",
     ),
     "identity": (
-        "alternating q-binomial form of the A-polynomial", 1, "m", _identity_point
+        "alternating q-binomial form of the A-polynomial",
+        1, "m", "series", "verify_identity",
     ),
     "conjecture23": (
-        "sign sweeps for the squared and mod-5 products", 0, "n", _conjecture23_point
+        "sign sweeps for the squared and mod-5 products",
+        0, "n", "series", "verify_conjecture23",
     ),
 }
 
-_PRIME_SWEEPS: dict[str, tuple[str, str, int, str, tuple[int, ...]]] = {
+_PRIME_SWEEPS: dict[str, tuple[str, str, int, str, str, tuple[int, ...]]] = {
     "stanley": (
         "two-term partition formula for a_{p,pk}",
-        "--k-max", 100, "verify_stanley", (3, 5, 7, 11, 13),
+        "--k-max", 100, "partitions", "verify_stanley", (3, 5, 7, 11, 13),
     ),
     "coherence": (
         "sign coherence of pairs at distance p",
-        "--j-max", 2000, "sign_coherence_check", (2, 3, 5, 7, 11),
+        "--j-max", 2000, "partitions", "sign_coherence_check", (2, 3, 5, 7, 11),
     ),
 }
 
@@ -270,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--json", metavar="PATH|-")
     sub.add_argument("--csv", metavar="PATH|-", help="exponent,coefficient rows")
 
-    for command, (help_text, minimum, _, _) in _SWEEPS.items():
+    for command, (help_text, *_) in _SWEEPS.items():
         sub = subs.add_parser(command, help=help_text)
         sub.add_argument("--n", type=int, help="single index")
         sub.add_argument("--n-min", type=int, help="sweep start")
@@ -282,7 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--fresh", action="store_true", help="discard a mismatched or stale manifest"
         )
 
-    for command, (help_text, flag, default, _, primes) in _PRIME_SWEEPS.items():
+    for command, (help_text, flag, default, *_, primes) in _PRIME_SWEEPS.items():
         sub = subs.add_parser(command, help=help_text)
         sub.add_argument("--p", type=int, help=f"one prime (default sweep {primes})")
         sub.add_argument(flag, type=int, default=default)
@@ -335,22 +250,19 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         # saving the manifest would replace the report file being written
         parser.error("--json and --manifest must name different files")
     if command in _SWEEPS:
-        _, minimum, label, point_fn = _SWEEPS[command]
+        _, minimum, label, module, claim = _SWEEPS[command]
         points = _resolve_range(parser, args, minimum)
+        extra: tuple[int, ...] = ()
     else:
-        _, flag, _, worker, primes = _PRIME_SWEEPS[command]
+        _, flag, _, module, claim, primes = _PRIME_SWEEPS[command]
         bound = getattr(args, flag[2:].replace("-", "_"))
         if bound < 0:
             parser.error(f"{flag} must be >= 0")
         label = "p"
         points = [args.p] if args.p is not None else list(primes)
-
-        # nested, so never sent to a pool: prime commands have no --jobs
-        def point_fn(p: int) -> ReportDocument:
-            from . import partitions
-
-            return getattr(partitions, worker)(p, bound)
-
+        extra = (bound,)
+    # a partial of a top-level function pickles, so --jobs can send it
+    point_fn = partial(_claim_point, module, claim, extra)
     manifest: Manifest | None = None
     statuses: list[str] = []
     if args.manifest:
@@ -378,6 +290,13 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return max((_EXIT_CODES[s] for s in statuses), default=0)
 
 
+def _claim_point(
+    module: str, claim: str, extra: tuple[int, ...], point: int
+) -> ReportDocument:
+    """The report of borwein.<module>.<claim>, looked up now, at one point."""
+    return getattr(import_module(f"borwein.{module}"), claim)(point, *extra)
+
+
 def _run_points(
     point_fn: Callable[[int], ReportDocument], points: list[int], jobs: int
 ) -> Iterator[ReportDocument]:
@@ -386,7 +305,11 @@ def _run_points(
     Serially a report comes as soon as its point finishes; under a pool
     a chunk's reports come together once that chunk is done.
     """
-    workers = min(jobs, len(points), _usable_cpus())
+    workers = min(jobs, len(points))
+    if workers > 1:
+        from .qpoly import _usable_cpus
+
+        workers = min(workers, _usable_cpus())
     if workers <= 1:
         yield from map(point_fn, points)
         return
@@ -407,6 +330,8 @@ def _expand(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if _same_file(args.json, args.csv):
         # two handles on one file would interleave the report and the dump
         parser.error("--json and --csv must name different files")
+    from . import series
+
     with _open_dest(args.json, "\n") as out, _open_dest(args.csv, "") as csv:
         s = series.expand_borwein(args.n)
         doc = new_report("expand", {"n": args.n})

@@ -8,6 +8,12 @@ sums whose strict positivity at b ≡ 0 (mod 3), the class of 0 less its
 leading coefficient, is the claim under test.
 partial_sum_violations states that claim once, for both routes to the
 sums: the folded expansion here and the signed counts of modcount.
+
+Each claim function checks one point and returns its report:
+verify_sign_pattern, verify_partial_sums, verify_identity and
+verify_conjecture23. expand_product grows an index's products from the
+previous index's, so an ascending range of points chains with no code
+here.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import add, sub
 
-from .qpoly import IntPolynomial, ProductSpec, expand_product, gaussian_binomial
-from .report import ReportDocument, Violation, new_report
+from .qpoly import IntPolynomial, ProductSpec, eval_at, expand_product, gaussian_binomial
+from .report import CrossCheck, ReportDocument, Violation, new_report
 
 __all__ = [
     "BorweinSeries",
@@ -29,7 +35,10 @@ __all__ = [
     "a_via_qbinomial",
     "residue_partial_sums",
     "partial_sum_violations",
+    "verify_sign_pattern",
     "verify_partial_sums",
+    "verify_identity",
+    "verify_conjecture23",
 ]
 
 
@@ -161,6 +170,32 @@ def partial_sum_violations(sums: Sequence[int], n: int, kind: str) -> list[Viola
     ]
 
 
+def verify_sign_pattern(n: int) -> ReportDocument:
+    """Sign pattern plus the structural facts for a single n.
+
+    expand_product mirrors the upper half of every product, fresh or
+    grown from the previous index, so `palindromic` holds by
+    construction: what backs it is expand_product's check that the
+    terms it computes past the midpoint equal their mirrors.
+    """
+    doc = new_report("verify", {"n": n})
+    s = expand_borwein(n)
+    doc.violations.extend(check_sign_pattern(s))
+    expected_degree = 3 * (n + 1) * (n + 1)
+    doc.cross_checks.append(
+        CrossCheck("degree", str(expected_degree), str(s.degree))
+    )
+    doc.cross_checks.append(
+        CrossCheck("endpoints", "1,1", f"{s.poly[0]},{s.poly[s.degree]}")
+    )
+    doc.cross_checks.append(
+        CrossCheck("palindromic", "True", str(s.poly.is_palindromic()))
+    )
+    doc.cross_checks.append(CrossCheck("value_at_1", "0", str(eval_at(s.poly, 1))))
+    doc.data["degree"] = s.degree
+    return doc.finish()
+
+
 def verify_partial_sums(n: int) -> ReportDocument:
     """Check strict positivity of the paper's sums at residues b with 3 | b.
 
@@ -175,4 +210,44 @@ def verify_partial_sums(n: int) -> ReportDocument:
     doc.data["negative_elsewhere"] = all(
         sums[b] < 0 for b in range(len(sums)) if b % 3
     )
+    return doc.finish()
+
+
+def verify_identity(m: int) -> ReportDocument:
+    """Alternating q-binomial sum vs the A-component of the product."""
+    doc = new_report("identity", {"m": m})
+    via_product = decompose_abc(expand_borwein(m - 1)).a
+    via_binomials = a_via_qbinomial(m)
+    if via_binomials == via_product:
+        doc.cross_checks.append(CrossCheck("a_polynomial", "match", "match"))
+    else:
+        bad = next(
+            e
+            for e in range(max(len(via_binomials), len(via_product)))
+            if via_binomials[e] != via_product[e]
+        )
+        doc.cross_checks.append(
+            CrossCheck(
+                "a_polynomial",
+                "match",
+                f"mismatch at exponent {bad}: {via_binomials[bad]} != {via_product[bad]}",
+            )
+        )
+    doc.data["degree"] = via_product.degree
+    return doc.finish()
+
+
+def verify_conjecture23(n: int) -> ReportDocument:
+    """Sign sweeps for the squared (mod 3) and mod-5 product variants."""
+    doc = new_report("conjecture23", {"n": n})
+    squared = expand_product(
+        ProductSpec(modulus=3, residues=frozenset({1, 2}), upper_index=n, multiplicity=2)
+    )
+    mod5 = expand_product(
+        ProductSpec(modulus=5, residues=frozenset({1, 2, 3, 4}), upper_index=n)
+    )
+    doc.violations.extend(sign_violations(squared, 3, n, kind="sign-squared"))
+    doc.violations.extend(sign_violations(mod5, 5, n, kind="sign-mod5"))
+    doc.data["squared_degree"] = squared.degree
+    doc.data["mod5_degree"] = mod5.degree
     return doc.finish()

@@ -16,6 +16,7 @@ import borwein.cli as cli
 import borwein.modcount as modcount
 import borwein.partitions as partitions
 import borwein.qpoly as qpoly
+import borwein.series as series
 from borwein import IntPolynomial, OracleMismatchError, ProductSpec, expand_product
 from borwein.report import new_report, report_to_json
 
@@ -62,9 +63,9 @@ def test_partial_sums_subcommand(tmp_path):
 
 def test_partial_sums_reports_a_nonpositive_sum(tmp_path, monkeypatch):
     # the claim's failure path: a zero partial sum at b = 3 fails the point
-    exact = cli.series.residue_partial_sums
+    exact = series.residue_partial_sums
     monkeypatch.setattr(
-        cli.series,
+        series,
         "residue_partial_sums",
         lambda s: exact(s)[:3] + (0,) + exact(s)[4:],
     )
@@ -85,7 +86,7 @@ def test_partial_sums_reports_a_nonpositive_sum(tmp_path, monkeypatch):
 
 def test_identity_reports_a_located_mismatch(tmp_path, monkeypatch):
     # a_3 of the q-binomial sum at m = 5 is 3; one more must be located there
-    exact = cli.series.a_via_qbinomial
+    exact = series.a_via_qbinomial
 
     def corrupted(m: int) -> IntPolynomial:
         cs = list(exact(m).coeffs)
@@ -93,7 +94,7 @@ def test_identity_reports_a_located_mismatch(tmp_path, monkeypatch):
             cs[3] += 1
         return IntPolynomial(cs)
 
-    monkeypatch.setattr(cli.series, "a_via_qbinomial", corrupted)
+    monkeypatch.setattr(series, "a_via_qbinomial", corrupted)
     out = tmp_path / "id.ndjson"
     assert run_cli("identity", "--n", "5", "--json", str(out)) == 1
     (doc,) = read_ndjson(out)
@@ -110,13 +111,13 @@ def test_identity_reports_a_located_mismatch(tmp_path, monkeypatch):
 
 def test_verify_structural_checks_fail_on_a_corrupted_product(tmp_path, monkeypatch):
     # a_0 + 7 breaks the endpoints, the symmetry and P_3(1) = 0, but no sign
-    exact = cli.series.expand_borwein
+    exact = series.expand_borwein
 
     def corrupted(n: int):
         poly = exact(n).poly
-        return cli.series.BorweinSeries(n, IntPolynomial((poly[0] + 7, *poly.coeffs[1:])))
+        return series.BorweinSeries(n, IntPolynomial((poly[0] + 7, *poly.coeffs[1:])))
 
-    monkeypatch.setattr(cli.series, "expand_borwein", corrupted)
+    monkeypatch.setattr(series, "expand_borwein", corrupted)
     out = tmp_path / "verify.ndjson"
     assert run_cli("verify", "--n", "3", "--json", str(out)) == 1
     (doc,) = read_ndjson(out)
@@ -159,20 +160,20 @@ def bumped_table(table):
 # a_3 = 1, and P_0 squared, of degree 6, has a_3 = 4.
 FAILURE_PATHS = [
     pytest.param(
-        ("verify", "--n", "1"), cli.series, "expand_borwein",
-        lambda s: cli.series.BorweinSeries(s.n, IntPolynomial(negated(s.poly.coeffs, 3))),
+        ("verify", "--n", "1"), series, "expand_borwein",
+        lambda s: series.BorweinSeries(s.n, IntPolynomial(negated(s.poly.coeffs, 3))),
         1, '{"kind": "sign", "location": {"n": 1, "exponent": 3}, "value": -1, '
         '"expected": ">=0"}',
         id="verify-sign",
     ),
     pytest.param(
-        ("verify", "--n", "3"), cli.series, "expand_borwein",
-        lambda s: cli.series.BorweinSeries(s.n, IntPolynomial((*s.poly.coeffs, 1))),
+        ("verify", "--n", "3"), series, "expand_borwein",
+        lambda s: series.BorweinSeries(s.n, IntPolynomial((*s.poly.coeffs, 1))),
         1, '{"name": "degree", "expected": "48", "actual": "49", "agree": false}',
         id="verify-degree",
     ),
     pytest.param(
-        ("partial-sums", "--n", "1"), cli.series, "residue_partial_sums",
+        ("partial-sums", "--n", "1"), series, "residue_partial_sums",
         lambda sums: (1, *sums[1:]),
         1, '{"kind": "nonpositive-partial-sum", "location": {"n": 1, "residue": 0}, '
         '"value": 0, "expected": ">0"}',
@@ -245,14 +246,14 @@ FAILURE_PATHS = [
         id="stanley-partition-formula",
     ),
     pytest.param(
-        ("conjecture23", "--n", "0"), cli, "expand_product",
+        ("conjecture23", "--n", "0"), series, "expand_product",
         lambda poly: IntPolynomial(negated(poly.coeffs, 1)) if poly.degree == 10 else poly,
         1, '{"kind": "sign-mod5", "location": {"n": 0, "exponent": 1}, "value": 1, '
         '"expected": "<=0"}',
         id="conjecture23-mod5",
     ),
     pytest.param(
-        ("conjecture23", "--n", "0"), cli, "expand_product",
+        ("conjecture23", "--n", "0"), series, "expand_product",
         lambda poly: IntPolynomial(negated(poly.coeffs, 3)) if poly.degree == 6 else poly,
         1, '{"kind": "sign-squared", "location": {"n": 0, "exponent": 3}, "value": -4, '
         '"expected": ">=0"}',
@@ -429,7 +430,7 @@ def test_expand_unwritable_destination_fails_before_expanding(
         calls.append(n)
         raise AssertionError("expanded before the destination was opened")
 
-    monkeypatch.setattr(cli.series, "expand_borwein", recorder)
+    monkeypatch.setattr(series, "expand_borwein", recorder)
     dest = tmp_path / "no-such-dir" / "out"
     assert run_cli("expand", "--n", "3", flag, str(dest)) == 2
     assert calls == []
@@ -498,7 +499,7 @@ def test_manifest_naming_the_json_file_is_usage_error(tmp_path, monkeypatch, cap
         calls.append(n)
         return new_report("verify", {"n": n}).finish()
 
-    monkeypatch.setitem(cli._SWEEPS, "verify", cli._SWEEPS["verify"][:3] + (recorder,))
+    monkeypatch.setattr(series, "verify_sign_pattern", recorder)
     monkeypatch.chdir(tmp_path)
     for json_dest in ("out.json", str(tmp_path / "out.json"), "./sub/../out.json"):
         with pytest.raises(SystemExit) as exc:
@@ -555,8 +556,7 @@ def test_unwritable_manifest_fails_before_any_point(tmp_path, monkeypatch, capsy
         calls.append(n)
         return new_report("modcount", {"n": n}).finish()
 
-    modcount_row = cli._SWEEPS["modcount"][:3] + (recorder,)
-    monkeypatch.setitem(cli._SWEEPS, "modcount", modcount_row)
+    monkeypatch.setattr(modcount, "cross_validate", recorder)
     dest = tmp_path / "no-such-dir" / "m.json"
     assert run_cli("modcount", "--n", "2", "--manifest", str(dest)) == 2
     assert calls == []
@@ -643,7 +643,7 @@ def test_chained_sweep_matches_per_point_reports(
     assert upper_indices(fresh_expansions) == {
         "verify": [5], "conjecture23": [5, 5], "identity": [4]
     }[command]
-    point = cli._SWEEPS[command][3]
+    point = getattr(series, cli._SWEEPS[command][4])
     assert out.read_bytes() == per_point_ndjson(point, range(5, 26))
 
 
@@ -673,7 +673,7 @@ def test_manifest_resume_expands_fresh_after_a_gap(
     )
     assert upper_indices(fresh_expansions) == fresh_after
     remaining = [n for n in range(10) if not lo <= n <= hi]
-    assert out.read_bytes() == per_point_ndjson(cli._SWEEPS["verify"][3], remaining)
+    assert out.read_bytes() == per_point_ndjson(series.verify_sign_pattern, remaining)
 
 
 @pytest.mark.parametrize(
@@ -802,14 +802,14 @@ def test_aborted_sweep_keeps_finished_points(tmp_path, monkeypatch):
 
     monkeypatch.setattr(modcount, "cross_validate", fails_at_3)
     assert run_cli("modcount", *span, "--json", str(out)) == 3
-    assert out.read_bytes() == per_point_ndjson(cli._SWEEPS["modcount"][3], range(3))
+    assert out.read_bytes() == per_point_ndjson(modcount.cross_validate, range(3))
     saved = json.loads(manifest.read_text())
     assert set(map(int, saved["completed"])) == {0, 1, 2}
 
     monkeypatch.setattr(modcount, "cross_validate", cross_validate)
     rerun = tmp_path / "rerun.ndjson"
     assert run_cli("modcount", *span, "--json", str(rerun)) == 0
-    assert rerun.read_bytes() == per_point_ndjson(cli._SWEEPS["modcount"][3], range(3, 6))
+    assert rerun.read_bytes() == per_point_ndjson(modcount.cross_validate, range(3, 6))
     saved = json.loads(manifest.read_text())
     assert set(map(int, saved["completed"])) == set(range(6))
 
@@ -830,13 +830,13 @@ def test_range_sweep_streams_each_point(tmp_path, monkeypatch):
 def test_chained_sweep_streams_each_point(tmp_path, monkeypatch, fresh_expansions):
     out = tmp_path / "out.ndjson"
     lines_before: dict[int, int] = {}
-    expand_borwein = cli.series.expand_borwein
+    expand_borwein = series.expand_borwein
 
     def recording_expand(n: int):
         lines_before[n] = len(out.read_bytes().splitlines())
         return expand_borwein(n)
 
-    monkeypatch.setattr(cli.series, "expand_borwein", recording_expand)
+    monkeypatch.setattr(series, "expand_borwein", recording_expand)
     assert run_cli("verify", "--n-min", "2", "--n-max", "8", "--json", str(out)) == 0
     assert lines_before == {n: n - 2 for n in range(2, 9)}
     assert upper_indices(fresh_expansions) == [2]
@@ -998,8 +998,11 @@ def test_prime_workers_looked_up_at_call_time(monkeypatch, command, worker, boun
 @pytest.mark.parametrize(
     "command, module, worker",
     [
+        ("verify", "series", "verify_sign_pattern"),
         ("partial-sums", "series", "verify_partial_sums"),
         ("modcount", "modcount", "cross_validate"),
+        ("identity", "series", "verify_identity"),
+        ("conjecture23", "series", "verify_conjecture23"),
     ],
 )
 def test_range_workers_looked_up_at_call_time(monkeypatch, command, module, worker):

@@ -25,6 +25,7 @@ from borwein import (
     divisors,
     dp_signed_counts,
     enumerate_signed_counts,
+    eval_at,
     exact_div,
     generalized_binomial,
     literal_closed_form,
@@ -231,6 +232,16 @@ def test_class_polynomial_independent_of_character_choice():
     exact = list(character_class_polynomial(9, 9).coeffs)
     for m in (1, 2, 4, 5, 7, 8):
         assert _exact_class_poly(9, 9, m) == exact, m
+
+
+def test_class_polynomial_weight_at_minus_one():
+    # the weight divisor_formula_eval gives class d: in x = -t, G_d is
+    # (1 - x^d)^(2N/(3d)), zero at x = 1, when 3 ∤ d, and
+    # (1 + x^(d/3) + x^(2d/3))^(N/d), which is 3^(N/d) there, when 3 | d
+    for N in range(3, 181, 3):
+        for d in divisors(N):
+            expected = 3 ** (N // d) if d % 3 == 0 else 0
+            assert eval_at(character_class_polynomial(N, d), -1) == expected, (N, d)
 
 
 def test_divisor_formula_point_values():

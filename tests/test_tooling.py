@@ -167,6 +167,25 @@ NOT_FOR_VERIFY = {
 }
 
 
+# A child that builds the parser, as every command line does first, and
+# prints the modules this added to those a bare `python -c pass` has loaded.
+PARSER_PROBE = """
+import sys
+base = set(sys.modules)
+import borwein.cli
+borwein.cli._build_parser()
+print(*sorted(set(sys.modules) - base))
+"""
+
+CLAIM_MODULES = {
+    "borwein.series",
+    "borwein.qpoly",
+    "borwein.modcount",
+    "borwein.partitions",
+    "borwein.exactmath",
+}
+
+
 def child_env() -> dict[str, str]:
     """The environment of a child interpreter that imports this checkout's src."""
     paths = [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])]
@@ -184,11 +203,20 @@ def probe(command: str, setup: str = "") -> tuple[int, set[str]]:
 
 
 def test_commands_load_only_the_modules_they_run():
-    """verify loads no claim module and none of the stdlib its other paths need.
+    """The parser loads no claim module, and a command only the ones it runs.
 
-    Counts modules, not time, against what a bare interpreter has loaded,
-    so the result does not depend on the machine or on how site is set up.
+    verify loads none of the stdlib its other paths need, and stanley no
+    series. Counts modules, not time, against what a bare interpreter has
+    loaded, so the result does not depend on the machine or on how site
+    is set up.
     """
+    child = subprocess.run(
+        [sys.executable, "-c", PARSER_PROBE],
+        env=child_env(), capture_output=True, text=True, check=True,
+    )
+    added = set(child.stdout.split())
+    assert {"borwein.cli", "borwein.report"} <= added
+    assert sorted(added & CLAIM_MODULES) == []
     code, added = probe("verify --n 2")
     assert code == 0
     assert {"borwein.cli", "borwein.series", "borwein.qpoly"} <= added
@@ -196,6 +224,25 @@ def test_commands_load_only_the_modules_they_run():
     code, added = probe("modcount --n 1")
     assert code == 0
     assert "borwein.modcount" in added
+    code, added = probe("stanley --p 3 --k-max 5")
+    assert code == 0
+    assert "borwein.partitions" in added
+    assert "borwein.series" not in added
+
+
+def test_command_tables_name_exported_claims():
+    """Every row of cli's two tables names a public callable of its module.
+
+    _claim_point looks a row's claim up only when a point runs, so a
+    renamed or unexported claim fails here rather than in a user's run.
+    """
+    rows = [*cli._SWEEPS.values(), *cli._PRIME_SWEEPS.values()]
+    unexported = []
+    for module_name, claim in (row[3:5] for row in rows):
+        module = importlib.import_module(f"borwein.{module_name}")
+        if claim not in module.__all__ or not callable(getattr(module, claim, None)):
+            unexported.append(f"{module_name}.{claim}")
+    assert unexported == []
 
 
 # A child that asks the bare package for a private name, and prints the
