@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, (help_text, flag, default, *_, primes) in _PRIME_SWEEPS.items():
         sub = subs.add_parser(command, help=help_text)
         sub.add_argument("--p", type=int, help=f"one prime (default sweep {primes})")
-        sub.add_argument(flag, type=int, default=default)
+        sub.add_argument(flag, type=int, default=default, dest="bound")
         sub.add_argument("--json", metavar="PATH|-")
         # no such options: the driver runs these serially, without a manifest
         sub.set_defaults(jobs=1, manifest=None, fresh=False)
@@ -255,12 +255,11 @@ def _sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         extra: tuple[int, ...] = ()
     else:
         _, flag, _, module, claim, primes = _PRIME_SWEEPS[command]
-        bound = getattr(args, flag[2:].replace("-", "_"))
-        if bound < 0:
+        if args.bound < 0:
             parser.error(f"{flag} must be >= 0")
         label = "p"
         points = [args.p] if args.p is not None else list(primes)
-        extra = (bound,)
+        extra = (args.bound,)
     # a partial of a top-level function pickles, so --jobs can send it
     point_fn = partial(_claim_point, module, claim, extra)
     manifest: Manifest | None = None

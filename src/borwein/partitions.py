@@ -2,24 +2,23 @@
 
 The n = ∞ analog of the Borwein product for a prime p is the eta
 quotient ∏_{p∤n} (1-q^n) with coefficients a_{p,j}. This module builds
-the prefix a_{p,0..J} as a plain tuple, from Euler's pentagonal series
-times the partition series in q^p; counts restricted partitions;
-implements the two-term partition formula for a_{p,pk} (Stanley's
-formula); and checks sign coherence of coefficient pairs at distance p.
+the prefix a_{p,0..J} from Euler's pentagonal series times the
+partition series in q^p; counts partitions whose parts avoid residues
+mod a modulus; implements the two-term partition formula for a_{p,pk}
+(Stanley's formula); and checks sign coherence of coefficient pairs at
+distance p. Series and counts go in and out as plain integers and
+tuples of them, so the module loads no polynomial type.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from operator import add, sub
 
 from .exactmath import is_prime
-from .qpoly import IntPolynomial
 from .report import ReportDocument, Violation, new_report
 
 __all__ = [
-    "RestrictedPartitionSpec",
     "pentagonal_series",
     "eta_quotient_coeffs",
     "restricted_partition_counts",
@@ -28,30 +27,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RestrictedPartitionSpec:
-    """Parts are positive integers whose residue mod `modulus` is allowed.
-
-    forbidden is reduced into [0, modulus) and deduplicated on
-    construction; an empty forbidden set gives unrestricted partitions.
-    """
-
-    modulus: int
-    forbidden: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(
-            self, "forbidden", frozenset(r % self.modulus for r in self.forbidden)
-        )
-
-    def allows(self, part: int) -> bool:
-        return part >= 1 and (part % self.modulus) not in self.forbidden
-
-
-def pentagonal_series(J: int) -> IntPolynomial:
-    """Euler's pentagonal series Σ_{m∈Z} (-1)^m q^{m(3m-1)/2} through degree J."""
+def pentagonal_series(J: int) -> tuple[int, ...]:
+    """Euler's pentagonal series Σ_{m∈Z} (-1)^m q^{m(3m-1)/2}: J+1 coefficients."""
     if J < 0:
         raise ValueError(f"pentagonal_series needs J >= 0, got {J}")
     coeffs = [0] * (J + 1)
@@ -63,7 +40,7 @@ def pentagonal_series(J: int) -> IntPolynomial:
         if m * (3 * m + 1) // 2 <= J:
             coeffs[m * (3 * m + 1) // 2] += sign
         m += 1
-    return IntPolynomial(coeffs)
+    return tuple(coeffs)
 
 
 def _partition_numbers(K: int) -> list[int]:
@@ -72,7 +49,7 @@ def _partition_numbers(K: int) -> list[int]:
     c is the pentagonal series, whose inverse is Σ p(k) q^k; only its
     O(√K) nonzero terms enter each sum.
     """
-    terms = [(e, c) for e, c in enumerate(pentagonal_series(K).coeffs) if e and c]
+    terms = [(e, c) for e, c in enumerate(pentagonal_series(K)) if e and c]
     parts = [1] * (K + 1)
     for k in range(1, K + 1):
         total = 0
@@ -98,56 +75,50 @@ def eta_quotient_coeffs(p: int, J: int) -> tuple[int, ...]:
         raise ValueError(f"truncation must be >= 0, got {J}")
     parts = _partition_numbers(J // p)
     out = [0] * (J + 1)
-    for e, c in enumerate(pentagonal_series(J).coeffs):
+    for e, c in enumerate(pentagonal_series(J)):
         if c:
             out[e::p] = map(add if c > 0 else sub, out[e::p], parts)
     return tuple(out)
 
 
 def restricted_partition_counts(
-    spec: RestrictedPartitionSpec, kmax: int
+    modulus: int, forbidden: Iterable[int], kmax: int
 ) -> tuple[int, ...]:
-    """Vector of partition counts 0..kmax in one DP sweep over parts."""
+    """Partition counts 0..kmax in one DP sweep over parts.
+
+    A part is allowed when its residue mod `modulus` is not in
+    `forbidden`, which is read mod `modulus`; an empty set gives
+    unrestricted partitions.
+    """
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    forbidden = {r % modulus for r in forbidden}
     if kmax < 0:
         return ()
     dp = [0] * (kmax + 1)
     dp[0] = 1
     for part in range(1, kmax + 1):
-        if not spec.allows(part):
+        if part % modulus in forbidden:
             continue
         for s in range(part, kmax + 1):
             dp[s] += dp[s - part]
     return tuple(dp)
 
 
-def _stanley_pieces(
-    p: int,
-) -> tuple[RestrictedPartitionSpec, RestrictedPartitionSpec | None, int, int]:
-    """(first spec, second spec or None, derived offset, t) for a prime p."""
+def _stanley_pieces(p: int) -> tuple[set[int], set[int] | None, int, int]:
+    """(first count's forbidden residues mod 3p, second's or None, derived offset, t)."""
     if p == 2:
         raise ValueError(
             "p = 2 is unsupported: no odd-residue split of 3p exists for it"
         )
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    m = 3 * p
-    first = RestrictedPartitionSpec(
-        modulus=m, forbidden=frozenset({0, (3 * p - 1) // 2, (3 * p + 1) // 2})
-    )
+    first = {0, (3 * p - 1) // 2, (3 * p + 1) // 2}
     if p == 3:
         # no positive t has 3 | 3t+1, so the second subseries is absent
         return first, None, 0, 0
     t = 1 if p % 3 == 2 else 2
-    second = RestrictedPartitionSpec(
-        modulus=m,
-        forbidden=frozenset(
-            {
-                0,
-                ((3 - 2 * t) * p - 1) // 2 % m,
-                ((3 + 2 * t) * p + 1) // 2 % m,
-            }
-        ),
-    )
+    second = {0, ((3 - 2 * t) * p - 1) // 2, ((3 + 2 * t) * p + 1) // 2}
     # minimal exponent of the recentered second pentagonal subseries;
     # equals the often-quoted t(pt+1)/6 only when t = 1
     delta = (p + 1) // 6 if t == 1 else (p - 1) // 6
@@ -170,9 +141,9 @@ def verify_stanley(p: int, K: int) -> ReportDocument:
     doc = new_report("stanley", {"p": p, "k_max": K})
     first, second, delta, t = _stanley_pieces(p)
     prefix = eta_quotient_coeffs(p, p * K)
-    first_counts = restricted_partition_counts(first, K)
+    first_counts = restricted_partition_counts(3 * p, first, K)
     second_counts = (
-        restricted_partition_counts(second, K) if second is not None else ()
+        restricted_partition_counts(3 * p, second, K) if second is not None else ()
     )
 
     def mismatches(offset: int) -> Iterator[dict[str, int]]:

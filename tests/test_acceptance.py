@@ -109,7 +109,7 @@ def test_criterion_5_partition_suite(capsys):
         product = IntPolynomial((1,))
         for m in range(1, 401):
             product = IntPolynomial(mul_sparse_factor(product, m).coeffs[:401])
-        assert pentagonal_series(400) == product
+        assert IntPolynomial(pentagonal_series(400)) == product
         for p in (3, 5, 7, 11, 13):
             doc = verify_stanley(p, 100)
             assert doc.status == "pass", f"p={p}"

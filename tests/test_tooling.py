@@ -205,10 +205,10 @@ def probe(command: str, setup: str = "") -> tuple[int, set[str]]:
 def test_commands_load_only_the_modules_they_run():
     """The parser loads no claim module, and a command only the ones it runs.
 
-    verify loads none of the stdlib its other paths need, and stanley no
-    series. Counts modules, not time, against what a bare interpreter has
-    loaded, so the result does not depend on the machine or on how site
-    is set up.
+    verify loads none of the stdlib its other paths need, and stanley
+    and coherence load neither series nor qpoly. Counts modules, not
+    time, against what a bare interpreter has loaded, so the result does
+    not depend on the machine or on how site is set up.
     """
     child = subprocess.run(
         [sys.executable, "-c", PARSER_PROBE],
@@ -224,10 +224,11 @@ def test_commands_load_only_the_modules_they_run():
     code, added = probe("modcount --n 1")
     assert code == 0
     assert "borwein.modcount" in added
-    code, added = probe("stanley --p 3 --k-max 5")
-    assert code == 0
-    assert "borwein.partitions" in added
-    assert "borwein.series" not in added
+    for command in ("stanley --p 3 --k-max 5", "coherence --p 3 --j-max 50"):
+        code, added = probe(command)
+        assert code == 0
+        assert "borwein.partitions" in added
+        assert sorted(added & {"borwein.series", "borwein.qpoly"}) == []
 
 
 def test_command_tables_name_exported_claims():
@@ -527,6 +528,48 @@ def test_every_violation_kind_fires_in_a_cli_test():
                 ]
             )
     assert sorted(kinds - named) == []
+
+
+# Every CrossCheck name in src. A CAN_FAIL check compares two values that
+# can differ, so test_cli.py makes it disagree.
+CAN_FAIL = {"degree", "endpoints", "palindromic", "value_at_1", "a_polynomial"}
+# cross_validate appends these only after _first_difference has passed on
+# the values they record, so they cannot disagree.
+RECORD_ONLY = {"dp_vs_divisor_formula", "dp_vs_enumeration", "signed_vs_partial_sums"}
+
+
+def test_every_cross_check_that_can_fail_disagrees_in_a_cli_test(capsys):
+    """Every CrossCheck name is classified, and each that can fail fails in test_cli.py.
+
+    The names are collected from the reports of verify, identity and
+    modcount at run time, because cross_validate passes its names through
+    a variable, and must be exactly CAN_FAIL and RECORD_ONLY, so a new
+    name fails until it is classified. test_cli.py names a check where it
+    makes it disagree: in a FAILURE_PATHS row's rendered cross check, or
+    in a dict it asserts, with "agree" false.
+    """
+    names: set[str] = set()
+    for argv in (["verify", "--n", "1"], ["identity", "--n", "2"], ["modcount", "--n", "1"]):
+        assert cli.run([*argv, "--json", "-"]) == 0
+        for line in capsys.readouterr().out.splitlines():
+            names.update(c["name"] for c in json.loads(line)["cross_checks"])
+    assert CAN_FAIL.isdisjoint(RECORD_ONLY)
+    assert names == CAN_FAIL | RECORD_ONLY
+    failing: set[str] = set()
+    tests = ast.parse((ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tests):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            failing.update(re.findall(r'"name": "([^"]+)"[^{}]*"agree": false', node.value))
+        elif isinstance(node, ast.Dict):
+            fields = {
+                key.value: value
+                for key, value in zip(node.keys, node.values)
+                if isinstance(key, ast.Constant)
+            }
+            agree = fields.get("agree")
+            if isinstance(agree, ast.Constant) and agree.value is False:
+                failing |= string_constants([fields.get("name")])
+    assert sorted(CAN_FAIL - failing) == []
 
 
 def test_every_internal_error_raise_has_a_failure_path():
